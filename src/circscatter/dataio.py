@@ -37,6 +37,7 @@ from .serial import format_double
 
 TEXT_MAGIC = "circscatter-v1"
 BINARY_MAGIC = b"CSC1"
+BINARY_HEADER_KEYS = ("n", "t0", "c0", "p", "task", "classes", "shape_ids")
 STD_FLOOR = 1e-12
 
 
@@ -360,10 +361,10 @@ def _parse_header(line: str) -> dict:
             "p": int(out["P"]),
             "task": out["task"],
             "classes": tuple(int(c) for c in out["classes"].split(",")),
+            "fixed_lambda": float(out["fixed_lambda"]) if "fixed_lambda" in out else None,
         }
     except (KeyError, ValueError) as exc:
         raise FormatError(f"invalid header: {exc}", line=1) from exc
-    parsed["fixed_lambda"] = float(out["fixed_lambda"]) if "fixed_lambda" in out else None
     if parsed["task"] not in ("class", "reg"):
         raise FormatError(f"unknown task {parsed['task']!r}", line=1)
     if any(c not in (1, 2, 3) for c in parsed["classes"]):
@@ -453,7 +454,14 @@ def read_dataset_binary(path) -> Dataset:
             header = json.loads(fh.read(hlen).decode("ascii"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"bad binary header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise FormatError("binary header is not a JSON object")
+        missing = [key for key in BINARY_HEADER_KEYS if key not in header]
+        if missing:
+            raise FormatError(f"binary header lacks {', '.join(missing)}")
         n, t0, c0, p = header["n"], header["t0"], header["c0"], header["p"]
+        if not all(type(v) is int and v >= 0 for v in (n, t0, c0, p)):
+            raise FormatError("binary header n, t0, c0, p must be integers >= 0")
         task = header["task"]
         d = t0 * c0
         features = np.frombuffer(fh.read(8 * n * d), dtype="<f8")
@@ -470,9 +478,11 @@ def read_dataset_binary(path) -> Dataset:
             targets = targets.reshape(n, p).astype(np.float64)
         if fh.read(1):
             raise FormatError("trailing bytes after payload")
-    fixed = header.get("fixed_lambda")
-    return Dataset(features, targets, task, t0, c0, tuple(header["classes"]),
-                   list(header["shape_ids"]), fixed_impedance=fixed)
+    try:
+        return Dataset(features, targets, task, t0, c0, tuple(header["classes"]),
+                       list(header["shape_ids"]), fixed_impedance=header.get("fixed_lambda"))
+    except (TypeError, ValidationError) as exc:
+        raise FormatError(f"bad binary header: {exc}") from exc
 
 
 def write_dataset(path, ds: Dataset, binary: bool = False) -> None:

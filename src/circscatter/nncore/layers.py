@@ -9,6 +9,8 @@ training uses float32 and gradient verification float64.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -69,10 +71,44 @@ def conv_output_length(t: int, stride: int) -> int:
     return -(-t // stride)
 
 
+def _use_fft(nb: int, k: int, stride: int) -> bool:
+    """The one algorithm choice of circular_conv_forward: the FFT path for
+    stride-1 convolutions with a long kernel at a large enough batch,
+    im2col everywhere else.
+
+    im2col costs about B*T*K*C*N_f multiply-adds.  The FFT path costs
+    three length-T transforms per sample and channel and B*C*N_f complex
+    products per frequency, whatever K, plus a fixed transform of the
+    N_f*C folded filter taps that the batch amortizes.  Both grow with T,
+    and their main terms with C*N_f, so the crossover is mostly a product
+    B*K; it was measured at T=64, C=N_f=128 only, with
+    ``perfbench/run.py --profile ap10 --batch B`` on a 2-vCPU VM at one
+    BLAS thread, median of two runs (ap7, same shapes, agrees within the
+    VM's noise).  Forward/backward ms, im2col -> FFT:
+
+        B     K=15                       K=31
+        1     0.8/1.1   -> 12.5/9.5      1.6/2.1   -> 12.7/9.9
+        16    8.4/13.7  -> 14.9/11.1     16.3/29.2 -> 15.2/12.7
+        32    15.8/26.7 -> 19.0/15.1     29.0/52.9 -> 19.4/16.2
+        50    27.5/49.6 -> 22.4/18.5     55.0/99.6 -> 21.3/18.9
+        128   64.8/120  -> 42.2/42.5     136/245   -> 42.7/47.7
+        160   78.2/155  -> 45.4/49.2     156/300   -> 45.2/47.6
+
+    The forward crossover, which evaluation sees alone, is near B=45 for
+    K=15 and B=16-20 for K=31, so B*K >= 640.  Below K=15 (every layer
+    of ap1/ap2/ap4, the first two of ap7/ap10 and the attention mix) the
+    FFT path's per-sample cost, which does not shrink with K, loses to the
+    short im2col GEMM; a strided conv is not a circular correlation.
+    """
+    return stride == 1 and k >= 15 and nb * k >= 640
+
+
 def circular_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
     """Y[i, j] = sum_{k, c} W[j, k, c] * Xpad[i*S + k, c] + b[j].
 
     x: (B, T, C); w: (N_f, K, C); b: (N_f,).  Returns ((B, T_out, N_f), cache).
+    The algorithm (im2col or FFT, see _use_fft) is chosen here, and the
+    cache tells circular_conv_backward which one ran.
     """
     nb, t, c = x.shape
     nf, k, cin = w.shape
@@ -80,6 +116,8 @@ def circular_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: i
         raise ValidationError(f"conv expects {cin} input channels, got {c}")
     if b.shape != (nf,):
         raise ValidationError("bias shape must be (filters,)")
+    if _use_fft(nb, k, stride):
+        return _fft_conv_forward(x, w, b)
     padded = circular_pad(x, k)
     win = sliding_window_view(padded, k, axis=1)[:, ::stride]   # (B, T_out, C, K)
     t_out = win.shape[1]
@@ -91,6 +129,8 @@ def circular_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: i
 
 def circular_conv_backward(dy: np.ndarray, cache):
     """Returns (dx, dw, db)."""
+    if isinstance(cache, _FFTCache):
+        return _fft_conv_backward(dy, cache)
     cols, (nb, t, c), w, stride, k = cache
     nf = w.shape[0]
     t_out = dy.shape[1]
@@ -108,6 +148,52 @@ def circular_conv_backward(dy: np.ndarray, cache):
             # positions are strictly increasing, so fancy += has no clashes
             dpad[:, pos + kk, :] += dcols[:, :, kk, :]
     return circular_pad_backward(dpad, t), dw, db
+
+
+class _FFTCache(NamedTuple):
+    x_hat: np.ndarray   # (B, F, C) input spectrum, F = T//2 + 1
+    g_hat: np.ndarray   # (N_f, F, C) folded-filter spectrum
+    t: int
+    k: int
+
+
+def _tap_rows(k: int, t: int) -> np.ndarray:
+    """Row of the length-t circular filter that tap k lands on: (k - P_left) mod t."""
+    return (np.arange(k) - pad_lengths(k)[0]) % t
+
+
+def _fft_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Stride-1 circular conv as a circular correlation with the taps folded
+    mod T: Y^[f] = X^[f] conj(G^[f]) per frequency, summed over channels."""
+    nf, k, c = w.shape
+    t = x.shape[1]
+    rows = _tap_rows(k, t)
+    g = np.zeros((nf, t, c), dtype=w.dtype)
+    for s in range(0, k, t):   # K > T wraps the taps more than once
+        g[:, rows[s:s + t]] += w[:, s:s + t]
+    g_hat = np.fft.rfft(g, axis=1)
+    x_hat = np.fft.rfft(x, axis=1)
+    # one (B, C) @ (C, N_f) product per frequency
+    y_hat = x_hat.transpose(1, 0, 2) @ g_hat.transpose(1, 2, 0).conj()
+    y = np.fft.irfft(y_hat, n=t, axis=0).transpose(1, 0, 2)
+    # older numpy transforms float32 in float64
+    y = y.astype(np.result_type(x, w), copy=False) + b
+    return y, _FFTCache(x_hat, g_hat, t, k)
+
+
+def _fft_conv_backward(dy: np.ndarray, cache: _FFTCache):
+    """dX^ = dY^ G^ and dG^ = sum over the batch of conj(dY^) X^; dW takes
+    each tap's row of dG back out of the fold."""
+    x_hat, g_hat, t, k = cache
+    dtype = dy.dtype
+    db = dy.sum(axis=(0, 1))
+    dy_hat = np.fft.rfft(dy, axis=1).transpose(1, 0, 2)              # (F, B, N_f)
+    dx_hat = dy_hat @ g_hat.transpose(1, 0, 2)                        # (F, B, C)
+    dx = np.fft.irfft(dx_hat, n=t, axis=0).transpose(1, 0, 2)
+    dg_hat = dy_hat.transpose(0, 2, 1).conj() @ x_hat.transpose(1, 0, 2)   # (F, N_f, C)
+    dg = np.fft.irfft(dg_hat, n=t, axis=0)                            # (T, N_f, C)
+    dw = dg[_tap_rows(k, t)].transpose(1, 0, 2)
+    return dx.astype(dtype, copy=False), dw.astype(dtype, copy=False), db
 
 
 # ---------------------------------------------------------------- activations

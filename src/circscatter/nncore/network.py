@@ -8,6 +8,7 @@ can never reach the forward pass.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -59,6 +60,13 @@ class Output:
     activation: str = "linear"
 
 
+def _sizes_ok(*sizes) -> bool:
+    """Every size is an integer (not a bool) >= 1; a spec read from a file
+    may carry anything JSON can hold."""
+    return all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+               for v in sizes)
+
+
 _KINDS = {"conv": Conv, "attention": Attention, "bottleneck": Bottleneck,
           "flatten": Flatten, "dense": Dense, "output": Output}
 
@@ -76,8 +84,8 @@ class NetworkSpec:
         object.__setattr__(self, "layers", tuple(self.layers))
         if self.task not in ("class", "reg"):
             raise ValidationError(f"unknown task {self.task!r}")
-        if self.input_t < 1 or self.input_c < 1:
-            raise ValidationError("input dimensions must be positive")
+        if not _sizes_ok(self.input_t, self.input_c):
+            raise ValidationError("input dimensions must be positive integers")
         self.stage_shapes()  # raises on any inconsistency
 
     def stage_shapes(self) -> list:
@@ -95,19 +103,20 @@ class NetworkSpec:
                 if flat is not None:
                     raise ValidationError(f"layer {i}: tensor layer after Flatten")
                 if isinstance(spec, Conv):
-                    if spec.filters < 1 or spec.kernel_size < 1 or spec.stride < 1:
-                        raise ValidationError(f"layer {i}: conv sizes must be >= 1")
+                    if not _sizes_ok(spec.filters, spec.kernel_size, spec.stride):
+                        raise ValidationError(f"layer {i}: conv sizes must be integers >= 1")
                     t = layers.conv_output_length(t, spec.stride)
                     c = spec.filters
                 elif isinstance(spec, Attention):
-                    if spec.mix_kernel < 1 or spec.reduction < 1:
-                        raise ValidationError(f"layer {i}: attention sizes must be >= 1")
+                    if not _sizes_ok(spec.mix_kernel, spec.reduction):
+                        raise ValidationError(f"layer {i}: attention sizes must be integers >= 1")
                     if c % spec.reduction != 0:
                         raise ValidationError(
                             f"layer {i}: {c} channels not divisible by reduction {spec.reduction}")
                 else:
-                    if spec.channels < 1:
-                        raise ValidationError(f"layer {i}: bottleneck channels must be >= 1")
+                    if not _sizes_ok(spec.channels):
+                        raise ValidationError(
+                            f"layer {i}: bottleneck channels must be an integer >= 1")
                     if spec.channels >= c:
                         warnings.warn(
                             f"layer {i}: bottleneck {spec.channels} does not reduce {c} channels")
@@ -121,9 +130,9 @@ class NetworkSpec:
             elif isinstance(spec, (Dense, Output)):
                 if flat is None:
                     raise ValidationError(f"layer {i}: dense layer before Flatten")
+                if not _sizes_ok(spec.units):
+                    raise ValidationError(f"layer {i}: units must be an integer >= 1")
                 if isinstance(spec, Dense):
-                    if spec.units < 1:
-                        raise ValidationError(f"layer {i}: units must be >= 1")
                     if not 0.0 <= spec.dropout < 1.0:
                         raise ValidationError(f"layer {i}: dropout must be in [0, 1)")
                     if spec.l2 < 0:
@@ -210,54 +219,53 @@ class Parameters:
         raise ValidationError("empty parameter set")
 
 
-def _glorot(rng, fan_in, fan_out, shape, dtype):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+def _parameter_shapes(spec: NetworkSpec) -> list[dict]:
+    """Per layer, name -> (shape, fans) in the order init_parameters
+    draws them; fans is (fan_in, fan_out) for Glorot weights and None for
+    biases and LayerNorm terms.  The one shape rule behind both
+    init_parameters and load_model."""
+    inputs = [(spec.input_t, spec.input_c)] + spec.stage_shapes()[:-1]
+    out = []
+    for layer, shape_in in zip(spec.layers, inputs):
+        c = shape_in[1] if isinstance(shape_in, tuple) else None
+        if isinstance(layer, Conv):
+            k, nf = layer.kernel_size, layer.filters
+            group = {"w": ((nf, k, c), (k * c, k * nf)), "b": ((nf,), None)}
+        elif isinstance(layer, Attention):
+            k, hidden = layer.mix_kernel, c // layer.reduction
+            group = {"w_mix": ((c, k, c), (k * c, k * c)), "b_mix": ((c,), None),
+                     "ln_gain": ((c,), None), "ln_shift": ((c,), None),
+                     "w1": ((hidden, c), (c, hidden)), "b1": ((hidden,), None),
+                     "w2": ((c, hidden), (hidden, c)), "b2": ((c,), None)}
+        elif isinstance(layer, Bottleneck):
+            nb = layer.channels
+            group = {"w": ((c, nb), (c, nb)), "b": ((nb,), None)}
+        elif isinstance(layer, Flatten):
+            group = {}
+        else:  # Dense or Output, after Flatten: shape_in is the flat width
+            units = layer.units
+            group = {"w": ((units, shape_in), (shape_in, units)), "b": ((units,), None)}
+            if isinstance(layer, Dense) and layer.layernorm:
+                group["ln_gain"] = ((units,), None)
+                group["ln_shift"] = ((units,), None)
+        out.append(group)
+    return out
 
 
 def init_parameters(spec: NetworkSpec, seed: int, dtype=np.float32) -> Parameters:
     """Glorot-uniform weights, zero biases, unit LayerNorm gains."""
     rng = np.random.default_rng(seed)
-    t, c = spec.input_t, spec.input_c
-    flat = None
     per_layer = []
-    for layer in spec.layers:
+    for shapes in _parameter_shapes(spec):
         group = {}
-        if isinstance(layer, Conv):
-            k, nf = layer.kernel_size, layer.filters
-            group["w"] = _glorot(rng, k * c, k * nf, (nf, k, c), dtype)
-            group["b"] = np.zeros(nf, dtype=dtype)
-            t = layers.conv_output_length(t, layer.stride)
-            c = nf
-        elif isinstance(layer, Attention):
-            k, r = layer.mix_kernel, layer.reduction
-            group["w_mix"] = _glorot(rng, k * c, k * c, (c, k, c), dtype)
-            group["b_mix"] = np.zeros(c, dtype=dtype)
-            group["ln_gain"] = np.ones(c, dtype=dtype)
-            group["ln_shift"] = np.zeros(c, dtype=dtype)
-            hidden = c // r
-            group["w1"] = _glorot(rng, c, hidden, (hidden, c), dtype)
-            group["b1"] = np.zeros(hidden, dtype=dtype)
-            group["w2"] = _glorot(rng, hidden, c, (c, hidden), dtype)
-            group["b2"] = np.zeros(c, dtype=dtype)
-        elif isinstance(layer, Bottleneck):
-            nb = layer.channels
-            group["w"] = _glorot(rng, c, nb, (c, nb), dtype)
-            group["b"] = np.zeros(nb, dtype=dtype)
-            c = nb
-        elif isinstance(layer, Flatten):
-            flat = t * c
-        elif isinstance(layer, Dense):
-            group["w"] = _glorot(rng, flat, layer.units, (layer.units, flat), dtype)
-            group["b"] = np.zeros(layer.units, dtype=dtype)
-            if layer.layernorm:
-                group["ln_gain"] = np.ones(layer.units, dtype=dtype)
-                group["ln_shift"] = np.zeros(layer.units, dtype=dtype)
-            flat = layer.units
-        elif isinstance(layer, Output):
-            group["w"] = _glorot(rng, flat, layer.units, (layer.units, flat), dtype)
-            group["b"] = np.zeros(layer.units, dtype=dtype)
-            flat = layer.units
+        for name, (shape, fans) in shapes.items():
+            if fans is not None:
+                limit = np.sqrt(6.0 / (fans[0] + fans[1]))
+                group[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+            elif name == "ln_gain":
+                group[name] = np.ones(shape, dtype=dtype)
+            else:
+                group[name] = np.zeros(shape, dtype=dtype)
         per_layer.append(group)
     return Parameters(per_layer)
 
@@ -430,14 +438,17 @@ def load_model(path):
             header = json.loads(fh.readline().decode("ascii"))
             spec = NetworkSpec.from_json_dict(header["spec"])
             dtype = np.dtype(header["dtype"])
+        # a spec that fails validation (a ValidationError is a ValueError)
+        # is a fault of the file
         except (KeyError, ValueError) as exc:
             raise FormatError(f"bad model header: {exc}") from exc
-        template = init_parameters(spec, seed=0, dtype=dtype)
+        if dtype not in (np.float32, np.float64):
+            raise FormatError(f"bad model header: dtype {dtype.name} is not float32 or float64")
         filled = []
-        for group in template.layers:
+        for shapes in _parameter_shapes(spec):
             new = {}
-            for name in sorted(group):
-                shape = group[name].shape
+            for name in sorted(shapes):
+                shape = shapes[name][0]
                 n_bytes = int(np.prod(shape)) * dtype.itemsize
                 raw = fh.read(n_bytes)
                 if len(raw) != n_bytes:

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -153,6 +154,33 @@ def test_evaluate_command(trained_run, tmp_path, capsys):
 def test_evaluate_missing_model(trained_run, tmp_path):
     _, data = trained_run
     rc = run("evaluate", "--model", str(tmp_path / "nope"), "--data", str(data))
+    assert rc == 4
+
+
+def test_evaluate_bad_model_spec_exit_code(trained_run, tmp_path, capsys):
+    # a .model whose spec fails validation (Output units -1) is a format
+    # error: exit 4, not the exit 2 of a bad flag
+    out, data = trained_run
+    for name in ("peanut.model", "peanut.scaler.json"):
+        shutil.copy(out / name, tmp_path / name)
+    path = tmp_path / "peanut.model"
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    spec = json.loads(header)
+    spec["spec"]["layers"][-1]["units"] = -1
+    path.write_bytes(b"\n".join([magic, json.dumps(spec).encode("ascii"), payload]))
+    rc = run("evaluate", "--model", str(tmp_path / "peanut"), "--data", str(data))
+    assert rc == 4
+    assert "units must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", [b"[1, 2]", b'{"t0": 32}'])
+def test_evaluate_bad_binary_header_exit_code(trained_run, tmp_path, header):
+    # a non-object header, or one missing n/c0/p/task, exits 4
+    out, _ = trained_run
+    bad = tmp_path / "bad.csc"
+    bad.write_bytes(dataio.BINARY_MAGIC + np.array(len(header), dtype="<u4").tobytes()
+                    + header)
+    rc = run("evaluate", "--model", str(out / "peanut"), "--data", str(bad))
     assert rc == 4
 
 

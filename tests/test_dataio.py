@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -337,6 +338,10 @@ def test_text_parse_errors(tmp_path):
                     "0,0,0,0,0,0,0,x,1,id\n")
     with pytest.raises(errors.FormatError, match="line 2"):
         read_dataset_text(path)
+    path.write_text("circscatter-v1 T0=4 C0=2 P=1 task=reg classes=1 fixed_lambda=abc\n"
+                    "0,0,0,0,0,0,0,0,1,id\n")
+    with pytest.raises(errors.FormatError, match="line 1"):
+        read_dataset_text(path)
 
 
 # ---------------------------------------------------------------- binary files
@@ -386,6 +391,40 @@ def test_binary_errors(tmp_path):
     (tmp_path / "extra.cscb").write_bytes(blob + b"\x00")
     with pytest.raises(errors.FormatError, match="trailing"):
         read_dataset_binary(tmp_path / "extra.cscb")
+
+
+def _with_binary_header(blob: bytes, header: bytes) -> bytes:
+    """Replace the JSON header of a binary .csc blob, keeping its payload."""
+    hlen = int(np.frombuffer(blob[4:8], dtype="<u4")[0])
+    return blob[:4] + np.array(len(header), dtype="<u4").tobytes() + header + blob[8 + hlen:]
+
+
+def test_binary_header_errors(tmp_path):
+    ds = generate_dataset([1], 4, ScatterConfig(), seed=1)
+    good = tmp_path / "good.cscb"
+    write_dataset_binary(good, ds)
+    blob = good.read_bytes()
+    header = json.loads(blob[8:8 + int(np.frombuffer(blob[4:8], dtype="<u4")[0])])
+    bad = tmp_path / "bad.cscb"
+    for key in ("n", "t0", "c0", "p", "task", "classes", "shape_ids"):
+        partial = {k: v for k, v in header.items() if k != key}
+        bad.write_bytes(_with_binary_header(blob, json.dumps(partial).encode("ascii")))
+        with pytest.raises(errors.FormatError, match=f"lacks {key}"):
+            read_dataset_binary(bad)
+    for not_object in (b"[1, 2]", b"3", b'"n"', b"null"):
+        bad.write_bytes(_with_binary_header(blob, not_object))
+        with pytest.raises(errors.FormatError, match="not a JSON object"):
+            read_dataset_binary(bad)
+    for key, value in (("n", -1), ("t0", 2.5), ("p", "5")):
+        bad.write_bytes(_with_binary_header(
+            blob, json.dumps({**header, key: value}).encode("ascii")))
+        with pytest.raises(errors.FormatError, match="integers"):
+            read_dataset_binary(bad)
+    for key, value in (("task", "nope"), ("classes", 7), ("shape_ids", ["a"])):
+        bad.write_bytes(_with_binary_header(
+            blob, json.dumps({**header, key: value}).encode("ascii")))
+        with pytest.raises(errors.FormatError, match="bad binary header"):
+            read_dataset_binary(bad)
 
 
 # ---------------------------------------------------------------- dataset type

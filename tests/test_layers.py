@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from circscatter import errors
-from circscatter.nncore import layers
+from circscatter.nncore import Attention, Conv, init_parameters, layers, preset_spec
 
 
 def fd_grad(loss, x, h=1e-6):
@@ -140,6 +140,118 @@ def test_conv_strided_shift_by_stride():
     y, _ = layers.circular_conv_forward(x, w, b, 2)
     ys, _ = layers.circular_conv_forward(np.roll(x, 2, axis=1), w, b, 2)
     npt.assert_allclose(ys, np.roll(y, 1, axis=1), atol=1e-12)
+
+
+# FFT path, called directly: odd and even T, and K > T (the taps wrap
+# around the circle more than once)
+FFT_SHAPES = [(7, 5), (8, 5), (8, 31), (7, 31), (1, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("t,k", FFT_SHAPES)
+def test_fft_conv_matches_direct_sum(t, k):
+    rng = np.random.default_rng(10 + t + k)
+    x = rng.standard_normal((2, t, 3))
+    w = rng.standard_normal((4, k, 3))
+    b = rng.standard_normal(4)
+    y, cache = layers._fft_conv_forward(x, w, b)
+    assert isinstance(cache, layers._FFTCache)
+    padded = layers.circular_pad(x, k)
+    ref = np.empty_like(y)
+    for bi in range(2):
+        for i in range(t):
+            for j in range(4):
+                ref[bi, i, j] = b[j] + np.sum(w[j] * padded[bi, i:i + k])
+    npt.assert_allclose(y, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t,k", FFT_SHAPES)
+def test_fft_conv_gradients_match_fd(t, k):
+    rng = np.random.default_rng(20 + t + k)
+    x = rng.standard_normal((2, t, 3))
+    w = rng.standard_normal((4, k, 3))
+    b = rng.standard_normal(4)
+    r = rng.standard_normal((2, t, 4))
+
+    def loss():
+        return float(np.sum(layers._fft_conv_forward(x, w, b)[0] * r))
+
+    _, cache = layers._fft_conv_forward(x, w, b)
+    dx, dw, db = layers.circular_conv_backward(r, cache)
+    npt.assert_allclose(dx, fd_grad(loss, x), atol=1e-8)
+    npt.assert_allclose(dw, fd_grad(loss, w), atol=1e-8)
+    npt.assert_allclose(db, fd_grad(loss, b), atol=1e-8)
+
+
+@pytest.mark.parametrize("t,k", [(12, 5), (13, 15), (8, 31)])
+def test_fft_conv_shift_equivariance(t, k):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2, t, 3))
+    w = rng.standard_normal((4, k, 3))
+    b = rng.standard_normal(4)
+    y, _ = layers._fft_conv_forward(x, w, b)
+    for m in range(1, t):
+        ys, _ = layers._fft_conv_forward(np.roll(x, m, axis=1), w, b)
+        assert np.abs(ys - np.roll(y, m, axis=1)).max() <= 1e-10
+
+
+def test_fft_conv_keeps_float32():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((3, 9, 4)).astype(np.float32)
+    w = rng.standard_normal((5, 15, 4)).astype(np.float32)
+    b = rng.standard_normal(5).astype(np.float32)
+    y, cache = layers._fft_conv_forward(x, w, b)
+    dx, dw, db = layers.circular_conv_backward(np.ones_like(y), cache)
+    assert y.dtype == dx.dtype == dw.dtype == db.dtype == np.float32
+    assert cache.x_hat.dtype == np.complex64
+
+
+def test_fft_conv_agrees_with_im2col_at_ap10_layer3():
+    # ap10 layer 3: T=64, 128 -> 128 channels, K=31; float32 rounding
+    # only (sums of 3968 products in different orders)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((4, 64, 128)).astype(np.float32)
+    lim = np.sqrt(6.0 / (2 * 31 * 128))
+    w = rng.uniform(-lim, lim, (128, 31, 128)).astype(np.float32)
+    b = rng.standard_normal(128).astype(np.float32)
+    dy = rng.standard_normal((4, 64, 128)).astype(np.float32)
+    assert not layers._use_fft(4, 31, 1)
+    y0, c0 = layers.circular_conv_forward(x, w, b, 1)
+    y1, c1 = layers._fft_conv_forward(x, w, b)
+    for got, want in zip((y1,) + layers.circular_conv_backward(dy, c1),
+                         (y0,) + layers.circular_conv_backward(dy, c0)):
+        assert got.dtype == want.dtype == np.float32
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def test_conv_dispatch_rule():
+    # batch 1 and stride 2 stay on im2col
+    assert not layers._use_fft(1, 31, 1)
+    assert not layers._use_fft(128, 31, 2)
+    # every conv (and attention mix) of the five presets at training and
+    # evaluation batches: only ap7/ap10's K=15 and K=31 layers take FFT
+    for name in ("ap1", "ap2", "ap4", "ap7", "ap10"):
+        spec = preset_spec(name)
+        for i, layer in enumerate(spec.layers):
+            for batch in (1, 128, 160):
+                if isinstance(layer, Conv):
+                    want = batch >= 128 and layer.kernel_size in (15, 31)
+                    assert layers._use_fft(batch, layer.kernel_size,
+                                           layer.stride) == want, (name, i, batch)
+                elif isinstance(layer, Attention):
+                    assert not layers._use_fft(batch, layer.mix_kernel, 1)
+
+
+def test_conv_forward_dispatches_on_ap10_layer2_at_batch_128():
+    spec = preset_spec("ap10")
+    params = init_parameters(spec, seed=0)
+    x = np.random.default_rng(8).standard_normal((128, 64, 128)).astype(np.float32)
+    group = params.layers[2]
+    y, cache = layers.circular_conv_forward(x, group["w"], group["b"], 1)
+    assert isinstance(cache, layers._FFTCache)
+    _, cache1 = layers.circular_conv_forward(x[:1], group["w"], group["b"], 1)
+    assert not isinstance(cache1, layers._FFTCache)
+    dx, dw, db = layers.circular_conv_backward(np.ones_like(y), cache)
+    assert dx.shape == x.shape and dw.shape == group["w"].shape
 
 
 # ---------------------------------------------------------------- activations

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -314,3 +316,62 @@ def test_model_file_errors(tmp_path):
     (tmp_path / "extra.model").write_bytes(blob + b"\x00")
     with pytest.raises(errors.FormatError, match="trailing"):
         load_model(tmp_path / "extra.model")
+
+
+def test_init_weights_bytes_pinned(tmp_path):
+    # init_parameters and load_model share one shape rule; the Glorot
+    # draws, and so the .model bytes of a fresh init, must not move
+    import hashlib
+    h = hashlib.sha256()
+    for name in ("ap1", "ap2", "ap4", "ap7", "ap10"):
+        path = tmp_path / f"{name}.model"
+        save_model(path, preset_spec(name), init_parameters(preset_spec(name), seed=5))
+        h.update(path.read_bytes())
+    assert h.hexdigest() == "b14951037910511059b2e26fbd0799c0559439a71d5a72b04b4f8d499ebd3353"
+
+
+def test_load_model_draws_no_random_weights(tmp_path, monkeypatch):
+    spec = preset_spec("ap10")
+    params = init_parameters(spec, seed=2)
+    path = tmp_path / "ap10.model"
+    save_model(path, spec, params)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_model drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    back_spec, back = load_model(path)
+    assert back_spec == spec
+    for (_, name, a), (_, _, b) in zip(params.arrays(), back.arrays()):
+        npt.assert_array_equal(a, b)
+
+
+def test_output_units_must_be_positive():
+    with pytest.raises(errors.ValidationError, match="units"):
+        NetworkSpec(8, 2, (Flatten(), Output(-1, "linear")), "reg")
+    with pytest.raises(errors.ValidationError, match="units"):
+        NetworkSpec(8, 2, (Flatten(), Output(0, "softmax")), "class")
+
+
+def test_model_spec_errors_are_format_errors(tmp_path):
+    # a spec that fails validation inside a .model file is a file-format
+    # problem, not a bad argument, whatever JSON value the size holds
+    spec = tiny_spec()
+    good = tmp_path / "good.model"
+    save_model(good, spec, init_parameters(spec, seed=0))
+    magic, header, payload = good.read_bytes().split(b"\n", 2)
+    bad = tmp_path / "bad.model"
+    for kind, key, value in (("output", "units", -1), ("output", "units", 0),
+                             ("dense", "units", 1.5), ("conv", "filters", True),
+                             ("conv", "kernel_size", "3"), ("bottleneck", "channels", None)):
+        blob = json.loads(header)
+        next(layer for layer in blob["spec"]["layers"] if layer["kind"] == kind)[key] = value
+        bad.write_bytes(b"\n".join([magic, json.dumps(blob).encode("ascii"), payload]))
+        with pytest.raises(errors.FormatError, match="integer"):
+            load_model(bad)
+    blob = json.loads(header)
+    for dtype in ("object", "V4", "int8"):
+        bad.write_bytes(b"\n".join([magic, json.dumps({**blob, "dtype": dtype}).encode("ascii"),
+                                    payload]))
+        with pytest.raises(errors.FormatError, match="dtype"):
+            load_model(bad)
