@@ -26,13 +26,7 @@ from .errors import (
 )
 from .pipeline import DEFAULT_NOISE_LEVELS, suite_spec
 
-PRESET_SUITE = {
-    "ap1": "classification",
-    "ap2": "peanut",
-    "ap4": "kite",
-    "ap7": "star_fixed",
-    "ap10": "star_variable",
-}
+PRESET_SUITE = {s.preset: name for name, s in pipeline.SUITES.items()}
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -271,7 +265,7 @@ def cmd_train(res: _Resolver) -> int:
 
 def _load_model_and_data(res: _Resolver):
     directory, name = _model_prefix(res.require("model", "--model"))
-    model = pipeline.load_trained(directory, name)
+    model = pipeline.TrainedModel.load(directory, name)
     ds = dataio.read_dataset(res.require("data", "--data"))
     return model, name, ds
 

@@ -236,31 +236,44 @@ def eval_curve(shape: BoundaryShape, tau, allow_degenerate: bool = False):
     return np.stack([x, y], axis=1), np.stack([dx, dy], axis=1)
 
 
-def _cross2(ux, uy, vx, vy):
-    return ux * vy - uy * vx
-
-
 def polygon_is_simple(points: np.ndarray) -> bool:
     """True when the closed polyline through ``points`` has no proper
     self-crossing.  Adjacent edges (which share a vertex) are skipped;
     the test uses strict orientation signs, so exact collinear touching
-    of non-adjacent edges is not flagged."""
+    of non-adjacent edges is not flagged.
+
+    Edge i runs from a_i to b_i = a_{i+1} along e_i = b_i - a_i.  With
+    d1[i, j] = cross(e_i, a_j - a_i) and d2[i, j] = cross(e_i, b_j - a_i),
+    edge j's endpoints lie strictly on opposite sides of edge i's line
+    when p[i, j] = d1*d2 < 0, and edges i and j cross properly when
+    p[i, j] and p[j, i].  Pairs sharing a vertex need no mask: a_{i+1} -
+    a_i is the same rounded difference as e_i, and b_{i-1} - a_i rounds
+    to the exact negation of e_{i-1} before e_{i-1} is added back, so
+    d1[i, i], d1[i, i+1] and d2[i, i-1] come out exactly 0 (or NaN on
+    overflow) and never pass the strict test.
+    """
     points = np.asarray(points, dtype=np.float64)
     t = len(points)
     if t < 3:
         raise ValidationError("polygon needs at least 3 vertices")
-    a = points
-    e = np.roll(points, -1, axis=0) - points  # edge vectors
-    # d1[i, j] = cross(e_i, a_j - a_i), d2[i, j] = cross(e_i, b_j - a_i)
-    diff = a[None, :, :] - a[:, None, :]
-    d1 = _cross2(e[:, None, 0], e[:, None, 1], diff[..., 0], diff[..., 1])
-    b_diff = diff + e[None, :, :]
-    d2 = _cross2(e[:, None, 0], e[:, None, 1], b_diff[..., 0], b_diff[..., 1])
-    crossing = (d1 * d2 < 0.0) & (d1.T * d2.T < 0.0)
-    idx = np.arange(t)
-    gap = (idx[None, :] - idx[:, None]) % t
-    crossing &= (gap != 0) & (gap != 1) & (gap != t - 1)
-    return not bool(np.any(crossing))
+    x, y = points[:, 0], points[:, 1]
+    ex = (np.roll(x, -1) - x)[:, None]
+    ey = (np.roll(y, -1) - y)[:, None]
+    # every (t, t) plane below is updated in place: the check is bound by
+    # memory traffic, and the arithmetic matches the textbook formula
+    # operation for operation, so the verdict is bit-for-bit the same
+    dx = x[None, :] - x[:, None]  # a_j - a_i
+    dy = y[None, :] - y[:, None]
+    d1 = ex * dy
+    d1 -= ey * dx
+    dx += ex.T  # b_j - a_i
+    dy += ey.T
+    dy *= ex
+    dx *= ey
+    dy -= dx  # d2
+    d1 *= dy
+    p = d1 < 0.0
+    return not (p & p.T).any()
 
 
 @dataclass(frozen=True)
@@ -278,6 +291,15 @@ def validate_shape(shape: BoundaryShape, config: ScatterConfig) -> ShapeDiagnost
     Rules: radial families need min rho > MIN_RADIAL on the grid; every
     node must satisfy |x(tau)| < MAX_POINT_NORM; the polyline through the
     nodes must be simple.
+
+    Only kites go through ``polygon_is_simple``.  A radial family that
+    passed the first rule has nodes center + rho_k*(cos tau_k, sin tau_k)
+    with every rho_k > 0 and angles tau_k = 2*pi*k/T strictly increasing
+    in gaps of 2*pi/T < pi.  Edge k then lies in the closed sector
+    tau_k <= arg(x - center) <= tau_{k+1} and, the sector being narrower
+    than pi, misses ``center``.  Sectors of non-adjacent edges meet only
+    at ``center``, so no two non-adjacent edges meet: the polygon is
+    star-shaped about ``center``, hence simple.
     """
     tau = boundary_grid(config.t_boundary)
     min_radial = None
@@ -292,8 +314,7 @@ def validate_shape(shape: BoundaryShape, config: ScatterConfig) -> ShapeDiagnost
     max_norm = float(np.max(np.hypot(points[:, 0], points[:, 1])))
     if max_norm >= MAX_POINT_NORM:
         return ShapeDiagnostics(False, "boundary too close to outer circle", min_radial, max_norm, True)
-    simple = polygon_is_simple(points)
-    if not simple:
+    if min_radial is None and not polygon_is_simple(points):
         return ShapeDiagnostics(False, "boundary self-intersects", min_radial, max_norm, False)
     return ShapeDiagnostics(True, None, min_radial, max_norm, True)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import FormatError, ValidationError
+from ..serial import atomic_write
 from . import layers
 
 MODEL_MAGIC = b"cscmodel-v1"
@@ -420,7 +421,7 @@ def save_model(path, spec: NetworkSpec, params: Parameters) -> None:
     deterministic order."""
     dtype = np.dtype(params.dtype)
     header = {"spec": spec.to_json_dict(), "dtype": dtype.name}
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MODEL_MAGIC + b"\n")
         fh.write(json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n")
         for _, _, arr in params.arrays():

@@ -36,7 +36,7 @@ from .geometry import (
     validate_shape,
 )
 from .nncore import NetworkSpec, Parameters, load_model, preset_spec, save_model
-from .serial import format_double
+from .serial import atomic_write, format_double
 from .training import (
     TrainHistory,
     evaluate_classification,
@@ -283,7 +283,7 @@ class TrainedModel:
                         if self.target_scaler is not None else None),
             "meta": self.meta_dict(),
         }
-        with open(directory / f"{name}.scaler.json", "w") as fh:
+        with atomic_write(directory / f"{name}.scaler.json") as fh:
             json.dump(blob, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return self.meta_dict()
@@ -292,8 +292,7 @@ class TrainedModel:
     def load(cls, directory, name: str) -> "TrainedModel":
         directory = Path(directory)
         spec, params = load_model(directory / f"{name}.model")
-        with open(directory / f"{name}.scaler.json") as fh:
-            blob = json.load(fh)
+        blob = _read_json_object(directory / f"{name}.scaler.json")
         try:
             meta = blob["meta"]
             feature_scaler = Standardizer.from_json_dict(blob["features"])
@@ -308,17 +307,34 @@ class TrainedModel:
             raise FormatError(f"{name}.scaler.json missing key {exc}") from None
 
 
+def _read_json_object(path: Path) -> dict:
+    """Parse a scaler or manifest file; text that is not JSON, or JSON
+    that is not an object, is a FormatError."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise FormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _read_manifest(path: Path) -> dict:
+    data = _read_json_object(path)
+    if data.get("format") != REGISTRY_FORMAT:
+        raise FormatError(f"{path}: unknown manifest format {data.get('format')!r}")
+    return data
+
+
 def _update_manifest(directory, name: str, meta: dict) -> None:
     path = Path(directory) / MANIFEST_NAME
     data = {"format": REGISTRY_FORMAT, "models": {}}
     if path.exists():
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("format") != REGISTRY_FORMAT:
-            raise FormatError(f"{path}: unknown manifest format {data.get('format')!r}")
+        data = _read_manifest(path)
         data.setdefault("models", {})
     data["models"][name] = meta
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -353,11 +369,7 @@ class ModelRegistry:
     @classmethod
     def load(cls, directory) -> "ModelRegistry":
         directory = Path(directory)
-        path = directory / MANIFEST_NAME
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("format") != REGISTRY_FORMAT:
-            raise FormatError(f"{path}: unknown manifest format {data.get('format')!r}")
+        data = _read_manifest(directory / MANIFEST_NAME)
         reg = cls()
         for name in sorted(data.get("models", {})):
             reg.add(name, TrainedModel.load(directory, name))
@@ -821,10 +833,6 @@ def run_experiment(suite: str, out_dir=None, scale: float = 1.0, seed: int = 0,
 
 
 # ------------------------------------------------ standalone model tools
-
-
-def load_trained(directory, name: str) -> TrainedModel:
-    return TrainedModel.load(directory, name)
 
 
 def _check_model_dataset(model: TrainedModel, ds: Dataset) -> None:

@@ -1,4 +1,5 @@
-"""Deterministic text encoding of doubles and small JSON documents.
+"""Deterministic text encoding of doubles and small JSON documents, and
+the atomic file write that artifacts go through.
 
 Doubles are written with 17 significant digits, which round-trips every
 finite IEEE-754 binary64 value exactly.  The stock json encoder offers
@@ -7,7 +8,10 @@ no hook for float formatting, hence the tiny recursive dumper here.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+from pathlib import Path
 
 from .errors import FormatError
 
@@ -72,3 +76,22 @@ def _escape(s: str) -> str:
             out.append(ch)
     out.append('"')
     return "".join(out)
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file beside ``path`` for writing and move it onto
+    ``path`` with ``os.replace`` when the block ends, so ``path`` holds
+    either its old contents or the complete new file, never a partial
+    write from a killed or failing run.  If the block raises, the
+    temporary file is removed and ``path`` is left as it was.  The file
+    is not fsynced: this guards against a dying process, not a power cut.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -184,6 +184,23 @@ def test_evaluate_bad_binary_header_exit_code(trained_run, tmp_path, header):
     assert rc == 4
 
 
+@pytest.mark.parametrize("text", ["{not json", "[]"])
+def test_malformed_scaler_and_manifest_exit_code(trained_run, tmp_path, text, capsys):
+    # a scaler or manifest that is not a JSON object is a format error: exit 4
+    out, data = trained_run
+    shutil.copy(out / "peanut.model", tmp_path / "peanut.model")
+    (tmp_path / "peanut.scaler.json").write_text(text)
+    rc = run("evaluate", "--model", str(tmp_path / "peanut"), "--data", str(data))
+    assert rc == 4
+    assert "peanut.scaler.json" in capsys.readouterr().err
+    (tmp_path / "manifest.json").write_text(text)
+    rc = run("train", "--suite", "peanut", "--scale", "0.0004", "--epochs", "1",
+             "--patience", "1", "--noise-levels", "0.01", "--trials", "1",
+             "--out", str(tmp_path))
+    assert rc == 4
+    assert "manifest.json" in capsys.readouterr().err
+
+
 def test_sweep_command(trained_run, tmp_path, capsys):
     out, data = trained_run
     rc = run("sweep", "--model", str(out / "peanut"), "--data", str(data),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -206,6 +207,125 @@ def test_polygon_simplicity_detector():
     assert not polygon_is_simple(bowtie)
     with pytest.raises(errors.ValidationError):
         polygon_is_simple(square[:2])
+
+
+def reference_polygon_is_simple(points):
+    """The straightforward (T, T, 2) formulation of polygon_is_simple,
+    kept as the oracle for the in-place version."""
+    points = np.asarray(points, dtype=np.float64)
+    t = len(points)
+    e = np.roll(points, -1, axis=0) - points
+    diff = points[None, :, :] - points[:, None, :]
+    d1 = e[:, None, 0] * diff[..., 1] - e[:, None, 1] * diff[..., 0]
+    b_diff = diff + e[None, :, :]
+    d2 = e[:, None, 0] * b_diff[..., 1] - e[:, None, 1] * b_diff[..., 0]
+    crossing = (d1 * d2 < 0.0) & (d1.T * d2.T < 0.0)
+    idx = np.arange(t)
+    gap = (idx[None, :] - idx[:, None]) % t
+    crossing &= (gap != 0) & (gap != 1) & (gap != t - 1)
+    return not bool(np.any(crossing))
+
+
+def test_polygon_is_simple_matches_reference():
+    rng = np.random.default_rng(20261018)
+    verdicts = []
+    # random point clouds: almost always self-crossing once T > 4
+    for _ in range(400):
+        t = int(rng.integers(3, 257))
+        verdicts.append((rng.normal(size=(t, 2)), t))
+    # kites on grids of every size, alpha scaled down by up to 1e-6: the
+    # thinnest fold onto themselves and their polygons cross
+    kites = []
+    for _ in range(600):
+        t = int(rng.integers(4, 257))
+        coeffs = draw_shape_candidate(ShapeClass.KITE, rng).coeffs
+        coeffs[0] *= 10.0 ** rng.uniform(-6.0, 0.0)
+        shape = BoundaryShape(ShapeClass.KITE, coeffs, rng.uniform(-0.2, 0.2, 2), 1.0)
+        kites.append((eval_curve(shape, boundary_grid(t))[0], t))
+    verdicts += kites
+    # near-degenerate inputs: collinear runs, repeated vertices, and
+    # coordinates whose cross products overflow
+    for t in (3, 4, 5, 16):
+        line = np.stack([np.arange(t, dtype=float), np.zeros(t)], axis=1)
+        verdicts.append((line, t))
+        verdicts.append((np.repeat(line[: (t + 1) // 2], 2, axis=0)[:t], t))
+        verdicts.append((rng.normal(size=(t, 2)) * 1e160, t))
+    simple = 0
+    for points, t in verdicts:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = polygon_is_simple(points)
+            assert got == reference_polygon_is_simple(points), t
+        assert type(got) is bool
+        simple += got
+    assert simple >= 200 and len(verdicts) - simple >= 300
+    kites_simple = sum(reference_polygon_is_simple(points) for points, _ in kites)
+    assert 100 <= kites_simple <= len(kites) - 100
+
+
+def reference_validate_shape(shape, config):
+    """validate_shape with the crossing test run for every family."""
+    tau = boundary_grid(config.t_boundary)
+    min_radial = None
+    if shape.class_tag in (ShapeClass.PEANUT, ShapeClass.STAR):
+        _, _, signed = geometry._radial_profile(shape, tau)
+        min_radial = float(np.min(signed)) if shape.class_tag == ShapeClass.STAR else float(
+            np.min(np.sqrt(np.maximum(signed, 0.0))))
+        if min_radial <= geometry.MIN_RADIAL:
+            return geometry.ShapeDiagnostics(
+                False, "radial profile too small", min_radial, math.nan, False)
+    points, _ = eval_curve(shape, tau, allow_degenerate=True)
+    max_norm = float(np.max(np.hypot(points[:, 0], points[:, 1])))
+    if max_norm >= geometry.MAX_POINT_NORM:
+        return geometry.ShapeDiagnostics(
+            False, "boundary too close to outer circle", min_radial, max_norm, True)
+    if not reference_polygon_is_simple(points):
+        return geometry.ShapeDiagnostics(
+            False, "boundary self-intersects", min_radial, max_norm, False)
+    return geometry.ShapeDiagnostics(True, None, min_radial, max_norm, True)
+
+
+def test_radial_shortcut_matches_full_check(monkeypatch):
+    # peanuts and stars that pass the radial floor are star-shaped about
+    # their center, so validate_shape skips the crossing test for them.
+    # Thin kites cross only on odd grids: at even T each node has a mirror
+    # node at the same height, 2*alpha*cos(tau) away.
+    configs = (ScatterConfig(), ScatterConfig(t_boundary=127))
+    rng = np.random.default_rng(77)
+    shapes = []
+    for tag in ShapeClass:
+        for _ in range(150):
+            cand = draw_shape_candidate(tag, rng)
+            coeffs = cand.coeffs * rng.uniform(0.5, 2.0, size=cand.coeffs.shape)
+            shapes.append(BoundaryShape(tag, coeffs, cand.center, 1.0, check_ranges=False))
+    for _ in range(50):  # thin kites whose polygons cross
+        cand = draw_shape_candidate(ShapeClass.KITE, rng)
+        coeffs = cand.coeffs * np.array([10.0 ** rng.uniform(-6.0, -2.0), 1.0, 1.0])
+        shapes.append(BoundaryShape(ShapeClass.KITE, coeffs, cand.center, 1.0))
+    # min rho just below, at, and just above the floor
+    for radius in (geometry.MIN_RADIAL * (1 - 1e-12), geometry.MIN_RADIAL,
+                   geometry.MIN_RADIAL * (1 + 1e-12), geometry.MIN_RADIAL * 1.5):
+        shapes.append(circle(radius))
+        # peanut rho = sqrt(alpha) on the x axis when alpha < beta
+        shapes.append(BoundaryShape(ShapeClass.PEANUT, [radius**2, 0.01], [0.0, 0.0],
+                                    1.0, check_ranges=False))
+    crossing_tests = []
+    real = geometry.polygon_is_simple
+    monkeypatch.setattr(geometry, "polygon_is_simple",
+                        lambda points: crossing_tests.append(1) or real(points))
+    reasons = set()
+    for shape, cfg in itertools.product(shapes, configs):
+        before = len(crossing_tests)
+        diag = validate_shape(shape, cfg)
+        assert diag == reference_validate_shape(shape, cfg)
+        kite = shape.class_tag == ShapeClass.KITE
+        assert len(crossing_tests) == before + (kite and diag.max_norm < geometry.MAX_POINT_NORM)
+        reasons.add((shape.class_tag, diag.reason))
+    for tag in ShapeClass:
+        assert (tag, None) in reasons
+        assert (tag, "boundary too close to outer circle") in reasons
+    assert (ShapeClass.KITE, "boundary self-intersects") in reasons
+    assert (ShapeClass.PEANUT, "radial profile too small") in reasons
+    assert (ShapeClass.STAR, "radial profile too small") in reasons
 
 
 # ---------------------------------------------------------------- sampling

@@ -7,7 +7,7 @@ import pytest
 
 from circscatter import dataio, pipeline
 from circscatter.dataio import Dataset, Standardizer
-from circscatter.errors import LayoutError, ValidationError
+from circscatter.errors import FormatError, LayoutError, ValidationError
 from circscatter.geometry import (
     BoundaryShape,
     ScatterConfig,
@@ -16,7 +16,15 @@ from circscatter.geometry import (
     sample_shape,
     shape_to_targets,
 )
-from circscatter.nncore import Dense, Flatten, NetworkSpec, Output, init_parameters
+from circscatter.nncore import (
+    Dense,
+    Flatten,
+    NetworkSpec,
+    Output,
+    Parameters,
+    init_parameters,
+    save_model,
+)
 from circscatter.pipeline import (
     SUITES,
     InverseSolution,
@@ -244,6 +252,49 @@ def test_registry_save_load_preserves_infer(tmp_path):
     npt.assert_array_equal(before.shape.coeffs, after.shape.coeffs)
     npt.assert_array_equal(before.shape.center, after.shape.center)
     assert before.shape.impedance == after.shape.impedance
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]"])
+def test_malformed_scaler_and_manifest_are_format_errors(tmp_path, text):
+    make_registry().save(tmp_path)
+    (tmp_path / "peanut.scaler.json").write_text(text)
+    with pytest.raises(FormatError, match="peanut.scaler.json"):
+        TrainedModel.load(tmp_path, "peanut")
+    with pytest.raises(FormatError, match="peanut.scaler.json"):
+        ModelRegistry.load(tmp_path)
+    (tmp_path / "manifest.json").write_text(text)
+    with pytest.raises(FormatError, match="manifest.json"):
+        ModelRegistry.load(tmp_path)
+    # saving into the directory reads the manifest to update it
+    with pytest.raises(FormatError, match="manifest.json"):
+        make_registry().save(tmp_path)
+
+
+def test_failed_artifact_writes_leave_previous_files(tmp_path, monkeypatch):
+    registry = make_registry()
+    registry.save(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def disk_full(*args, **kwargs):
+        raise OSError("disk full")
+
+    real_arrays = Parameters.arrays
+
+    def first_array_then_disk_full(self):
+        yield next(real_arrays(self))
+        disk_full()
+
+    monkeypatch.setattr(Parameters, "arrays", first_array_then_disk_full)
+    with pytest.raises(OSError):  # .model write fails after its first array
+        save_model(tmp_path / "peanut.model", registry.regressors[1].spec,
+                   registry.regressors[1].params)
+    monkeypatch.setattr(Parameters, "arrays", real_arrays)
+    monkeypatch.setattr(json, "dump", disk_full)
+    with pytest.raises(OSError):
+        registry.regressors[1].save(tmp_path, "peanut")  # scaler write fails
+    with pytest.raises(OSError):
+        pipeline._update_manifest(tmp_path, "peanut", {})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # -------------------------------------------------------------- inference
