@@ -11,12 +11,22 @@ nodes x_k with weights w_k = |x'(tau_k)| * 2*pi/T,
     h(t_j) = (lambda/(1+lambda))
              * sum_k exp(i*kappa0*(d - x_hat_j).x_k) * (n_k.x_hat_j) * w_k
 
-with n the outward unit normal.  Features are the real/imaginary parts
-of these patterns stacked channel-major: features[c*T0 + i] = X[i, c].
+with n the outward unit normal.  The sums are evaluated in separable
+form.  The incidence factor exp(i*kappa0*d.x_k) is a length-T vector
+folded into the weights, and n_k.x_hat_j = cos(t_j)*n_x,k + sin(t_j)*n_y,k
+splits the normal term into two weighted columns.  T0 is even, so
+x_hat_{j+T0/2} = -x_hat_j: the cosine and sine of kappa0*x_hat_j.x_k on
+the first half of the grid give exp(-i*...) there and exp(+i*...) on the
+second half.  Each call is one real (T0 x T) @ (T x 6) product of those
+tables with the real and imaginary parts of the three columns.
+
+Features are the real/imaginary parts of these patterns stacked
+channel-major: features[c*T0 + i] = X[i, c].
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -87,6 +97,17 @@ class ChannelLayout:
         return cls(channels)
 
 
+@functools.lru_cache(maxsize=None)
+def _observation_directions(t0: int) -> np.ndarray:
+    """(2, t0) read-only table of x_hat(t_j) = (cos t_j, sin t_j): the
+    first half of the grid evaluated, the second half its negation."""
+    t = boundary_grid(t0)[: t0 // 2]
+    half = np.stack([np.cos(t), np.sin(t)])
+    table = np.concatenate([half, -half], axis=1)
+    table.setflags(write=False)
+    return table
+
+
 def surrogate_farfield(shape: BoundaryShape, config: ScatterConfig, phi: float):
     """Quadrature surrogate far-field pair (e, h) on the T0 angle grid.
 
@@ -99,18 +120,27 @@ def surrogate_farfield(shape: BoundaryShape, config: ScatterConfig, phi: float):
     speed = np.hypot(deriv[:, 0], deriv[:, 1])
     if np.any(speed <= 0.0):
         raise ValidationError("boundary parametrization has a stationary point")
-    weights = speed * (2.0 * np.pi / config.t_boundary)
-    # outward unit normal for a counter-clockwise parametrization
-    normal = np.stack([deriv[:, 1], -deriv[:, 0]], axis=1) / speed[:, None]
-
-    t = boundary_grid(config.t0)
-    xhat = np.stack([np.cos(t), np.sin(t)], axis=1)          # (T0, 2)
+    # weighted columns w, w*n_x, w*n_y (outward normal of a counter-clockwise
+    # parametrization) times the incidence factor exp(i*kappa0*d.x)
     d = np.array([math.cos(phi), math.sin(phi)])
-    phase = config.kappa0 * ((d[None, :] - xhat) @ pts.T)     # (T0, T)
-    kernel = np.exp(1j * phase)
+    incident = np.exp(1j * config.kappa0 * (pts @ d)) * (2.0 * np.pi / config.t_boundary)
+    cols = incident[:, None] * np.stack([speed, deriv[:, 1], -deriv[:, 0]], axis=1)
+
+    xhat = _observation_directions(config.t0)                 # (2, T0)
+    half = config.t0 // 2
+    phase = config.kappa0 * (xhat[:, :half].T @ pts.T)         # (T0/2, T)
+    trig = np.empty((config.t0, len(tau)))
+    np.cos(phase, out=trig[:half])
+    np.sin(phase, out=trig[half:])
+    # one real GEMM over the interleaved (re, im) parts of the columns
+    sums = (trig @ cols.view(np.float64)).view(np.complex128)  # (T0, 3)
+    c_sum, s_sum = sums[:half], sums[half:]
+    # sum_k exp(-i*phase) * cols on the first half of the grid, and
+    # exp(+i*phase) on the second, where x_hat is negated
+    g =np.concatenate([c_sum - 1j * s_sum, c_sum + 1j * s_sum])
     lam = shape.impedance
-    e = (math.sin(config.theta) / math.sqrt(config.eps0)) / (1.0 + lam) * (kernel @ weights)
-    h = (lam / (1.0 + lam)) * ((kernel * (xhat @ normal.T)) @ weights)
+    e = (math.sin(config.theta) / math.sqrt(config.eps0)) / (1.0 + lam) * g[:, 0]
+    h = (lam / (1.0 + lam)) * (xhat[0] * g[:, 1] + xhat[1] * g[:, 2])
     return e, h
 
 
@@ -129,6 +159,14 @@ def assemble_channels(fields: dict, layout: ChannelLayout, t0: int) -> np.ndarra
             raise LayoutError(f"field array for phi={phi} has shape {arr.shape}, want ({t0},)")
         parts.append(arr.real if part == "re" else arr.imag)
     return np.concatenate(parts).astype(np.float64)
+
+
+def feature_row(shape: BoundaryShape, config: ScatterConfig,
+                layout: ChannelLayout) -> np.ndarray:
+    """One obstacle's feature vector: the surrogate at every incidence of
+    ``config``, flattened by ``layout``."""
+    fields = {phi: surrogate_farfield(shape, config, phi) for phi in config.phis}
+    return assemble_channels(fields, layout, config.t0)
 
 
 def reshape_to_tensor(features: np.ndarray, t0: int, c0: int) -> np.ndarray:
@@ -248,8 +286,7 @@ def generate_dataset(class_tags, n: int, config: ScatterConfig, seed: int,
         tag = tags[i % len(tags)]
         rng = np.random.default_rng(children[i])
         shape = sample_shape(tag, rng, config, fixed_impedance=fixed)
-        fields = {phi: surrogate_farfield(shape, config, phi) for phi in config.phis}
-        features[i] = assemble_channels(fields, layout, config.t0)
+        features[i] = feature_row(shape, config, layout)
         if task == "class":
             targets[i] = int(tag)
         else:
@@ -320,10 +357,17 @@ class Standardizer:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Standardizer":
         try:
-            return cls(np.asarray(obj["mean"], dtype=np.float64),
-                       np.asarray(obj["std"], dtype=np.float64))
+            mean = np.asarray(obj["mean"], dtype=np.float64)
+            std = np.asarray(obj["std"], dtype=np.float64)
         except KeyError as exc:
             raise FormatError(f"standardizer JSON missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"standardizer JSON malformed: {exc}") from exc
+        if mean.ndim != 1 or mean.shape != std.shape:
+            raise FormatError(
+                f"standardizer mean and std must be lists of one length, "
+                f"got shapes {mean.shape} and {std.shape}")
+        return cls(mean, std)
 
 
 def add_noise(rows: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray:

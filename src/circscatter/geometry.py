@@ -8,6 +8,7 @@ and are sampled on the uniform grid tau_k = 2*pi*k/T.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -162,6 +163,25 @@ class BoundaryShape:
                 raise ValidationError("impedance outside sampling range")
 
 
+@functools.lru_cache(maxsize=8)
+def _harmonic_table(tau_bytes: bytes) -> np.ndarray:
+    tau = np.frombuffer(tau_bytes, dtype=np.float64)
+    table = np.empty((2, STAR_Q, len(tau)))
+    for q in range(1, STAR_Q + 1):
+        # row by row, exactly as the inline np.cos(q * tau), so cached and
+        # uncached profiles agree bit for bit
+        table[0, q - 1] = np.cos(q * tau)
+        table[1, q - 1] = np.sin(q * tau)
+    table.setflags(write=False)
+    return table
+
+
+def _harmonics(tau: np.ndarray) -> np.ndarray:
+    """Read-only (2, STAR_Q, m) table: cos(q*tau) and sin(q*tau) for
+    q = 1..STAR_Q, cached by the exact bytes of ``tau`` (a float64 vector)."""
+    return _harmonic_table(np.asarray(tau, dtype=np.float64).tobytes())
+
+
 def _radial_profile(shape: BoundaryShape, tau: np.ndarray):
     """rho(tau) and rho'(tau) for the radial families; peanut returns rho**2
     in the first slot of the extras tuple so callers can detect sign problems
@@ -169,7 +189,7 @@ def _radial_profile(shape: BoundaryShape, tau: np.ndarray):
     tag = shape.class_tag
     if tag == ShapeClass.PEANUT:
         alpha, beta = shape.coeffs
-        c, s = np.cos(tau), np.sin(tau)
+        c, s = _harmonics(tau)[:, 0]
         rho_sq = alpha * c * c + beta * s * s
         rho = np.sqrt(np.maximum(rho_sq, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -178,13 +198,15 @@ def _radial_profile(shape: BoundaryShape, tau: np.ndarray):
     if tag == ShapeClass.STAR:
         coeffs = shape.coeffs
         alpha0 = coeffs[0]
+        cos_q, sin_q = _harmonics(tau)
         acc = np.ones_like(tau)
         dacc = np.zeros_like(tau)
         for q in range(1, STAR_Q + 1):
             aq = coeffs[q]
             bq = coeffs[STAR_Q + q]
-            acc = acc + (aq * np.cos(q * tau) + bq * np.sin(q * tau)) / (2.0 * STAR_Q)
-            dacc = dacc + q * (-aq * np.sin(q * tau) + bq * np.cos(q * tau)) / (2.0 * STAR_Q)
+            cq, sq = cos_q[q - 1], sin_q[q - 1]
+            acc = acc + (aq * cq + bq * sq) / (2.0 * STAR_Q)
+            dacc = dacc + q * (-aq * sq + bq * cq) / (2.0 * STAR_Q)
         rho = alpha0 * acc
         drho = alpha0 * dacc
         return rho, drho, rho
@@ -216,10 +238,10 @@ def eval_curve(shape: BoundaryShape, tau, allow_degenerate: bool = False):
     tag = shape.class_tag
     if tag == ShapeClass.KITE:
         alpha, beta, gamma = shape.coeffs
-        c, s = np.cos(tau), np.sin(tau)
-        x = alpha * c + beta * np.cos(2.0 * tau) + shape.center[0]
+        (c, c2), (s, s2) = _harmonics(tau)[:, :2]
+        x = alpha * c + beta * c2 + shape.center[0]
         y = gamma * s + shape.center[1]
-        dx = -alpha * s - 2.0 * beta * np.sin(2.0 * tau)
+        dx = -alpha * s - 2.0 * beta * s2
         dy = gamma * c
         return np.stack([x, y], axis=1), np.stack([dx, dy], axis=1)
 
@@ -228,7 +250,7 @@ def eval_curve(shape: BoundaryShape, tau, allow_degenerate: bool = False):
         raise DegenerateShapeError(
             f"{tag.name.lower()} radial profile non-positive at some tau"
         )
-    c, s = np.cos(tau), np.sin(tau)
+    c, s = _harmonics(tau)[:, 0]
     x = rho * c + shape.center[0]
     y = rho * s + shape.center[1]
     dx = drho * c - rho * s
@@ -290,7 +312,7 @@ def validate_shape(shape: BoundaryShape, config: ScatterConfig) -> ShapeDiagnost
 
     Rules: radial families need min rho > MIN_RADIAL on the grid; every
     node must satisfy |x(tau)| < MAX_POINT_NORM; the polyline through the
-    nodes must be simple.
+    nodes must be simple.  A NaN min rho or node norm breaks its rule.
 
     Only kites go through ``polygon_is_simple``.  A radial family that
     passed the first rule has nodes center + rho_k*(cos tau_k, sin tau_k)
@@ -308,11 +330,18 @@ def validate_shape(shape: BoundaryShape, config: ScatterConfig) -> ShapeDiagnost
         min_radial = float(np.min(signed)) if shape.class_tag == ShapeClass.STAR else float(
             np.min(np.sqrt(np.maximum(signed, 0.0)))
         )
-        if min_radial <= MIN_RADIAL:
+        # this test and the norm test below are written negated, so a NaN
+        # fails them
+        if not min_radial > MIN_RADIAL:
             return ShapeDiagnostics(False, "radial profile too small", min_radial, math.nan, False)
-    points, _ = eval_curve(shape, tau, allow_degenerate=True)
-    max_norm = float(np.max(np.hypot(points[:, 0], points[:, 1])))
-    if max_norm >= MAX_POINT_NORM:
+        # the nodes eval_curve would build from the same profile
+        c, s = _harmonics(tau)[:, 0]
+        x, y = rho * c + shape.center[0], rho * s + shape.center[1]
+    else:
+        points, _ = eval_curve(shape, tau, allow_degenerate=True)
+        x, y = points[:, 0], points[:, 1]
+    max_norm = float(np.max(np.hypot(x, y)))
+    if not max_norm < MAX_POINT_NORM:
         return ShapeDiagnostics(False, "boundary too close to outer circle", min_radial, max_norm, True)
     if min_radial is None and not polygon_is_simple(points):
         return ShapeDiagnostics(False, "boundary self-intersects", min_radial, max_norm, False)

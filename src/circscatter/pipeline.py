@@ -176,9 +176,7 @@ def superset_features(shape: BoundaryShape,
                       config: ScatterConfig | None = None) -> np.ndarray:
     """One obstacle's feature row in the superset layout."""
     cfg = superset_config(config)
-    fields = {phi: dataio.surrogate_farfield(shape, cfg, phi) for phi in cfg.phis}
-    layout = ChannelLayout.standard(cfg.c0, cfg.phis)
-    return dataio.assemble_channels(fields, layout, cfg.t0)
+    return dataio.feature_row(shape, cfg, ChannelLayout.standard(cfg.c0, cfg.phis))
 
 
 def dataset_config(ds: Dataset, base: ScatterConfig | None = None) -> ScatterConfig:
@@ -299,12 +297,21 @@ class TrainedModel:
             target_scaler = (Standardizer.from_json_dict(blob["targets"])
                              if blob["targets"] is not None else None)
             classes = tuple(meta["classes"]) if meta["classes"] is not None else None
-            return cls(spec, params, feature_scaler, target_scaler,
-                       preset=meta["preset"], seed=meta["seed"], classes=classes,
-                       class_tag=meta["class_tag"],
-                       fixed_impedance=meta["fixed_impedance"])
+            model = cls(spec, params, feature_scaler, target_scaler,
+                        preset=meta["preset"], seed=meta["seed"], classes=classes,
+                        class_tag=meta["class_tag"],
+                        fixed_impedance=meta["fixed_impedance"])
         except KeyError as exc:
             raise FormatError(f"{name}.scaler.json missing key {exc}") from None
+        except (TypeError, ValueError) as exc:  # FormatError is a ValueError
+            raise FormatError(f"{name}.scaler.json malformed: {exc}") from None
+        sizes = (("feature", feature_scaler, spec.input_t * spec.input_c),
+                 ("target", target_scaler, spec.output_dim))
+        for kind, scaler, want in sizes:
+            if scaler is not None and len(scaler.mean) != want:
+                raise FormatError(f"{name}.scaler.json: {kind} scaler has "
+                                  f"{len(scaler.mean)} entries, the model needs {want}")
+        return model
 
 
 def _read_json_object(path: Path) -> dict:
@@ -324,6 +331,8 @@ def _read_manifest(path: Path) -> dict:
     data = _read_json_object(path)
     if data.get("format") != REGISTRY_FORMAT:
         raise FormatError(f"{path}: unknown manifest format {data.get('format')!r}")
+    if not isinstance(data.get("models", {}), dict):
+        raise FormatError(f"{path}: \"models\" must be a JSON object")
     return data
 
 

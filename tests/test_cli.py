@@ -201,6 +201,23 @@ def test_malformed_scaler_and_manifest_exit_code(trained_run, tmp_path, text, ca
     assert "manifest.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("member, key, value", [
+    (None, "meta", []),
+    ("features", "mean", "not numbers"),
+    ("features", "std", [1.0, 2.0]),
+], ids=["meta-list", "mean-text", "std-length"])
+def test_wrongly_typed_scaler_exit_code(trained_run, tmp_path, member, key, value, capsys):
+    # a scaler object with members of the wrong type or length: exit 4
+    out, data = trained_run
+    shutil.copy(out / "peanut.model", tmp_path / "peanut.model")
+    blob = json.loads((out / "peanut.scaler.json").read_text())
+    (blob if member is None else blob[member])[key] = value
+    (tmp_path / "peanut.scaler.json").write_text(json.dumps(blob))
+    rc = run("evaluate", "--model", str(tmp_path / "peanut"), "--data", str(data))
+    assert rc == 4
+    assert "peanut.scaler.json" in capsys.readouterr().err
+
+
 def test_sweep_command(trained_run, tmp_path, capsys):
     out, data = trained_run
     rc = run("sweep", "--model", str(out / "peanut"), "--data", str(data),

@@ -1,3 +1,5 @@
+import cmath
+import hashlib
 import json
 import math
 
@@ -6,7 +8,7 @@ import numpy.testing as npt
 import pytest
 from scipy.special import j0, j1
 
-from circscatter import dataio, errors
+from circscatter import dataio, errors, pipeline
 from circscatter.dataio import (
     ChannelLayout,
     Dataset,
@@ -31,6 +33,7 @@ from circscatter.geometry import (
     boundary_grid,
     eval_curve,
     sample_shape,
+    shape_to_targets,
 )
 
 
@@ -66,31 +69,63 @@ def test_surrogate_circle_matches_bessel_closed_form():
     npt.assert_allclose(h, expected_h, atol=1e-12)
 
 
+def triple_loop_farfield(shape, cfg, phi):
+    """The quadrature sums of the module docstring, one term at a time."""
+    tau = boundary_grid(cfg.t_boundary)
+    pts, deriv = eval_curve(shape, tau)
+    t = boundary_grid(cfg.t0)
+    lam = shape.impedance
+    d = (math.cos(phi), math.sin(phi))
+    e_ref = np.zeros(cfg.t0, dtype=complex)
+    h_ref = np.zeros(cfg.t0, dtype=complex)
+    for jj in range(cfg.t0):
+        xh = (math.cos(t[jj]), math.sin(t[jj]))
+        for k in range(cfg.t_boundary):
+            speed = math.hypot(deriv[k, 0], deriv[k, 1])
+            w = speed * 2 * math.pi / cfg.t_boundary
+            n_dot_xh = (deriv[k, 1] * xh[0] - deriv[k, 0] * xh[1]) / speed
+            kern = cmath.exp(1j * cfg.kappa0 * ((d[0] - xh[0]) * pts[k, 0]
+                                                + (d[1] - xh[1]) * pts[k, 1]))
+            e_ref[jj] += kern * w
+            h_ref[jj] += kern * n_dot_xh * w
+        e_ref[jj] *= (math.sin(cfg.theta) / math.sqrt(cfg.eps0)) / (1 + lam)
+        h_ref[jj] *= lam / (1 + lam)
+    return e_ref, h_ref
+
+
 def test_surrogate_matches_direct_triple_loop():
     cfg = ScatterConfig(t_boundary=32, t0=32)
     rng = np.random.default_rng(7)
     shape = sample_shape(ShapeClass.KITE, rng, cfg)
     e, h = surrogate_farfield(shape, cfg, 0.0)
-
-    tau = boundary_grid(cfg.t_boundary)
-    pts, deriv = eval_curve(shape, tau)
-    t = boundary_grid(cfg.t0)
-    lam = shape.impedance
-    e_ref = np.zeros(cfg.t0, dtype=complex)
-    h_ref = np.zeros(cfg.t0, dtype=complex)
-    for jj in range(cfg.t0):
-        xh = np.array([math.cos(t[jj]), math.sin(t[jj])])
-        for k in range(cfg.t_boundary):
-            speed = math.hypot(deriv[k, 0], deriv[k, 1])
-            w = speed * 2 * math.pi / cfg.t_boundary
-            n = np.array([deriv[k, 1], -deriv[k, 0]]) / speed
-            kern = np.exp(1j * cfg.kappa0 * (np.array([1.0, 0.0]) - xh) @ pts[k])
-            e_ref[jj] += kern * w
-            h_ref[jj] += kern * (n @ xh) * w
-        e_ref[jj] *= (math.sin(cfg.theta) / math.sqrt(cfg.eps0)) / (1 + lam)
-        h_ref[jj] *= lam / (1 + lam)
+    e_ref, h_ref = triple_loop_farfield(shape, cfg, 0.0)
     npt.assert_allclose(e, e_ref, atol=1e-13)
     npt.assert_allclose(h, h_ref, atol=1e-13)
+
+
+@pytest.mark.parametrize("t_boundary", [128, 127])
+@pytest.mark.parametrize("phi", [0.0, math.pi])
+def test_surrogate_matches_triple_loop_on_superset_grid(t_boundary, phi):
+    # T0=128 with both incidences, as stored in the superset; the
+    # half-grid form pairs x_hat_j with x_hat_{j+64} = -x_hat_j
+    cfg = pipeline.superset_config(ScatterConfig(t_boundary=t_boundary))
+    rng = np.random.default_rng(31)
+    for tag in (ShapeClass.KITE, ShapeClass.STAR):
+        shape = sample_shape(tag, rng, cfg)
+        e, h = surrogate_farfield(shape, cfg, phi)
+        e_ref, h_ref = triple_loop_farfield(shape, cfg, phi)
+        npt.assert_allclose(e, e_ref, rtol=0, atol=1e-13)
+        npt.assert_allclose(h, h_ref, rtol=0, atol=1e-13)
+
+
+def test_observation_directions_table_is_cached_and_read_only():
+    table = dataio._observation_directions(128)
+    assert table is dataio._observation_directions(128)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 2.0
+    t = boundary_grid(128)
+    npt.assert_allclose(table, np.stack([np.cos(t), np.sin(t)]), rtol=0, atol=1e-15)
 
 
 def test_surrogate_translation_leaves_magnitude():
@@ -209,6 +244,48 @@ def test_generate_is_deterministic():
     npt.assert_array_equal(a.targets, b.targets)
     c = generate_dataset([1, 2, 3], 9, cfg, seed=78)
     assert not np.array_equal(a.features, c.features)
+
+
+def generation_digest(ds, config, seed):
+    """sha256 of a dataset's targets and shape ids.  A classification set
+    also hashes every row's shape parameters, which its labels do not show,
+    so a flipped rejection-sampling verdict changes the digest."""
+    h = hashlib.sha256()
+    h.update(ds.targets.dtype.str.encode())
+    h.update(np.ascontiguousarray(ds.targets).tobytes())
+    h.update("\n".join(ds.shape_ids).encode())
+    if ds.task == "class":
+        children = np.random.SeedSequence(seed).spawn(len(ds))
+        for tag, child in zip(ds.targets, children):
+            shape = sample_shape(int(tag), np.random.default_rng(child), config)
+            h.update(shape_to_targets(shape, include_impedance=True).tobytes())
+    return h.hexdigest()
+
+
+# Digests of generation at seed 2024, computed before the surrogate and the
+# curve evaluation were rewritten: the targets, ids and accepted shapes may
+# not move even where the feature bytes differ in the last bits.
+PINNED_DIGESTS = {
+    "classification": (90, "d527064834eeb91842661904a71af37d52809d805b9bbdd0e8e44b79f16b9cec"),
+    "peanut": (40, "1eda991b47006982deacf5067461ecf849b9183b3991002899ac6dadedb81b0a"),
+    "kite": (40, "2dd1093a909c8b3f1adf6accf7650b7649bd89bdef78c8bee7e1e97bd5da6c24"),
+    "star_variable": (40, "eb975a4492ced460871a2df83677e649a475b2aa1bd8b93501810aff621efb53"),
+    "superset": (300, "c0daf855d433181bcc171ca44ce7bfd3a8380b6f010890a37c519bce31aaf803"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_generated_targets_and_ids_are_pinned(name):
+    n, digest = PINNED_DIGESTS[name]
+    if name == "superset":
+        cfg = pipeline.superset_config()
+        ds = pipeline.generate_superset((1, 2, 3), n, seed=2024)
+    else:
+        suite = pipeline.SUITES[name]
+        cfg = suite.config()
+        ds = pipeline.suite_dataset(name, scale=n / suite.n_full, seed=2024)
+    assert len(ds) == n
+    assert generation_digest(ds, cfg, 2024) == digest
 
 
 def test_generate_validates_args():

@@ -148,6 +148,56 @@ def test_degenerate_profiles_raise():
     assert np.all(np.isfinite(pts))
 
 
+def uncached_radial_profile(shape, tau):
+    """_radial_profile with its trig evaluated inline, as before the cache."""
+    if shape.class_tag == ShapeClass.PEANUT:
+        alpha, beta = shape.coeffs
+        c, s = np.cos(tau), np.sin(tau)
+        rho_sq = alpha * c * c + beta * s * s
+        rho = np.sqrt(np.maximum(rho_sq, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drho = np.where(rho > 0.0, (beta - alpha) * s * c / np.where(rho > 0, rho, 1.0), 0.0)
+        return rho, drho, rho_sq
+    coeffs = shape.coeffs
+    acc = np.ones_like(tau)
+    dacc = np.zeros_like(tau)
+    for q in range(1, 6):
+        aq, bq = coeffs[q], coeffs[5 + q]
+        acc = acc + (aq * np.cos(q * tau) + bq * np.sin(q * tau)) / 10.0
+        dacc = dacc + q * (-aq * np.sin(q * tau) + bq * np.cos(q * tau)) / 10.0
+    return coeffs[0] * acc, coeffs[0] * dacc, coeffs[0] * acc
+
+
+def test_cached_harmonics_match_inline_trig_bitwise():
+    rng = np.random.default_rng(23)
+    shapes = [star(rng, base=0.3, scale=1.0) for _ in range(20)]
+    shapes += [draw_shape_candidate(ShapeClass.PEANUT, rng) for _ in range(10)]
+    kites = [draw_shape_candidate(ShapeClass.KITE, rng) for _ in range(10)]
+    for tau in (boundary_grid(128), boundary_grid(128) + 1e-3, boundary_grid(127)):
+        for shape in shapes:
+            for got, want in zip(geometry._radial_profile(shape, tau),
+                                 uncached_radial_profile(shape, tau)):
+                assert np.array_equal(got, want, equal_nan=True)
+        for shape in kites:
+            alpha, beta, gamma = shape.coeffs
+            pts, deriv = eval_curve(shape, tau)
+            assert np.array_equal(pts[:, 0], alpha * np.cos(tau) + beta * np.cos(2.0 * tau)
+                                  + shape.center[0])
+            assert np.array_equal(deriv[:, 0], -alpha * np.sin(tau)
+                                  - 2.0 * beta * np.sin(2.0 * tau))
+
+
+def test_harmonic_table_is_cached_and_read_only():
+    tau = boundary_grid(128)
+    table = geometry._harmonics(tau)
+    assert table.shape == (2, geometry.STAR_Q, 128)
+    assert table is geometry._harmonics(boundary_grid(128))  # keyed by value
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 2.0
+    assert geometry._harmonics(tau + 1e-3) is not table
+
+
 def test_eval_curve_rejects_bad_tau():
     with pytest.raises(errors.ValidationError):
         eval_curve(peanut(), np.zeros((2, 2)))
@@ -326,6 +376,27 @@ def test_radial_shortcut_matches_full_check(monkeypatch):
     assert (ShapeClass.KITE, "boundary self-intersects") in reasons
     assert (ShapeClass.PEANUT, "radial profile too small") in reasons
     assert (ShapeClass.STAR, "radial profile too small") in reasons
+
+
+def test_nan_profile_and_norm_are_rejected(monkeypatch):
+    # harmonic terms overflow to +inf and -inf at the same tau, so the
+    # profile is NaN there; NaN compares False both ways
+    coeffs = np.zeros(11)
+    coeffs[0] = 0.3
+    coeffs[[1, 6]] = 1.7e308
+    coeffs[[2, 7]] = -1.7e308
+    shape = BoundaryShape(ShapeClass.STAR, coeffs, [0.0, 0.0], 1.0, check_ranges=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = validate_shape(shape, ScatterConfig())
+    assert not diag.ok and diag.reason == "radial profile too small"
+    assert math.isnan(diag.min_radial)
+    # a NaN node norm is "too close to the outer circle", not admissible
+    t = ScatterConfig().t_boundary
+    monkeypatch.setattr(geometry, "eval_curve",
+                        lambda *args, **kwargs: (np.full((t, 2), np.nan), None))
+    diag = validate_shape(kite(), ScatterConfig())
+    assert not diag.ok and diag.reason == "boundary too close to outer circle"
+    assert math.isnan(diag.max_norm)
 
 
 # ---------------------------------------------------------------- sampling

@@ -270,6 +270,59 @@ def test_malformed_scaler_and_manifest_are_format_errors(tmp_path, text):
         make_registry().save(tmp_path)
 
 
+def _set(key, value, member=None):
+    def edit(blob):
+        (blob if member is None else blob[member])[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("meta", []), "malformed"),
+    (_set("features", []), "malformed"),
+    (_set("classes", 3, member="meta"), "malformed"),
+    (_set("mean", ["x"] * 64, member="features"), "malformed"),
+    (_set("std", [1.0] * 4, member="targets"), "mean and std"),
+    (_set("mean", None, member="features"), "mean and std"),
+    (_set("mean", [[0.0] * 64], member="features"), "mean and std"),
+], ids=["meta-list", "features-list", "classes-int", "mean-text", "std-length",
+        "mean-null", "mean-nested"])
+def test_wrongly_typed_scaler_members_are_format_errors(tmp_path, edit, message):
+    make_registry().save(tmp_path)
+    path = tmp_path / "peanut.scaler.json"
+    blob = json.loads(path.read_text())
+    edit(blob)
+    path.write_text(json.dumps(blob))
+    with pytest.raises(FormatError, match=f"peanut.scaler.json.*{message}"):
+        TrainedModel.load(tmp_path, "peanut")
+    with pytest.raises(FormatError, match="peanut.scaler.json"):
+        ModelRegistry.load(tmp_path)
+
+
+@pytest.mark.parametrize("member, size, message", [
+    ("features", 32, "feature scaler has 32 entries, the model needs 64"),
+    ("targets", 4, "target scaler has 4 entries, the model needs 5"),
+])
+def test_scaler_length_must_match_the_model(tmp_path, member, size, message):
+    make_registry().save(tmp_path)
+    path = tmp_path / "peanut.scaler.json"
+    blob = json.loads(path.read_text())
+    blob[member] = {"mean": [0.0] * size, "std": [1.0] * size}
+    path.write_text(json.dumps(blob))
+    with pytest.raises(FormatError, match=message):
+        TrainedModel.load(tmp_path, "peanut")
+
+
+@pytest.mark.parametrize("models", [5, [], "peanut"])
+def test_manifest_models_must_be_an_object(tmp_path, models):
+    make_registry().save(tmp_path)
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"format": pipeline.REGISTRY_FORMAT, "models": models}))
+    with pytest.raises(FormatError, match="manifest.json.*models"):
+        ModelRegistry.load(tmp_path)
+    with pytest.raises(FormatError, match="manifest.json.*models"):
+        make_registry().save(tmp_path)
+
+
 def test_failed_artifact_writes_leave_previous_files(tmp_path, monkeypatch):
     registry = make_registry()
     registry.save(tmp_path)
