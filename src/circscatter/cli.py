@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 validation problem, 3 numeric failure
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .pipeline import DEFAULT_NOISE_LEVELS, suite_spec
+from .serial import read_json_object, write_json
 
 PRESET_SUITE = {s.preset: name for name, s in pipeline.SUITES.items()}
 
@@ -125,19 +125,6 @@ class _Resolver:
         return v
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON config: {exc}") from None
-    if not isinstance(obj, dict):
-        raise FormatError(f"{path}: config must be a JSON object")
-    return obj
-
-
 def _parse_levels(value) -> list:
     if isinstance(value, (list, tuple)):
         return [float(v) for v in value]
@@ -150,9 +137,7 @@ def _parse_levels(value) -> list:
 
 def _archive(out_dir: Path, command: str, resolved: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / f"{command}_config.json", "w") as fh:
-        json.dump({"command": command, **resolved}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / f"{command}_config.json", {"command": command, **resolved})
 
 
 def _model_prefix(value: str):
@@ -284,9 +269,7 @@ def cmd_evaluate(res: _Resolver) -> int:
     if out is not None:
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / f"{name}_eval.json", "w") as fh:
-            json.dump(rep.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out_dir / f"{name}_eval.json", rep.to_json_dict())
         _archive(out_dir, "evaluate", {
             "model": str(res.get("model")), "data": str(res.get("data")),
         })
@@ -308,9 +291,7 @@ def cmd_sweep(res: _Resolver) -> int:
     if out is not None:
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / f"{name}_sweep.json", "w") as fh:
-            json.dump(table, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out_dir / f"{name}_sweep.json", table)
         _archive(out_dir, "sweep", {
             "model": str(res.get("model")), "data": str(res.get("data")),
             "noise_levels": levels, "trials": trials, "seed": seed,
@@ -353,9 +334,7 @@ def cmd_gradcheck(res: _Resolver) -> int:
                    "tolerance": rep.tolerance}
             for name, rep in reports.items()
         }
-        with open(out_dir / "gradcheck_report.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out_dir / "gradcheck_report.json", payload)
         _archive(out_dir, "gradcheck", {"seed": seed, "tolerance": tolerance})
     return EXIT_OK if all_passed else EXIT_NUMERIC
 
@@ -373,7 +352,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
+        config = {} if args.config is None else read_json_object(args.config)
         res = _Resolver(args, config)
         return _COMMANDS[args.command](res)
     except NumericError as exc:

@@ -43,7 +43,7 @@ from .geometry import (
     sample_shape,
     shape_to_targets,
 )
-from .serial import format_double
+from .serial import atomic_write, format_double
 
 TEXT_MAGIC = "circscatter-v1"
 BINARY_MAGIC = b"CSC1"
@@ -196,13 +196,6 @@ def flatten_tensor(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class FarFieldSample:
-    features: np.ndarray
-    target: np.ndarray
-    shape_id: str
-
-
-@dataclass
 class Dataset:
     """In-memory dataset: features (n, t0*c0) float64, targets either
     (n,) integer labels (task "class") or (n, p) doubles (task "reg")."""
@@ -241,9 +234,6 @@ class Dataset:
     @property
     def target_dim(self) -> int:
         return 1 if self.task == "class" else self.targets.shape[1]
-
-    def sample(self, i: int) -> FarFieldSample:
-        return FarFieldSample(self.features[i], self.targets[i], self.shape_ids[i])
 
 
 def generate_dataset(class_tags, n: int, config: ScatterConfig, seed: int,
@@ -417,7 +407,7 @@ def _parse_header(line: str) -> dict:
 
 
 def write_dataset_text(path, ds: Dataset) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_write(path) as fh:
         fh.write(_header_line(ds) + "\n")
         for i in range(len(ds)):
             cols = [format_double(v) for v in ds.features[i]]
@@ -477,7 +467,7 @@ def write_dataset_binary(path, ds: Dataset) -> None:
         "fixed_lambda": ds.fixed_impedance,
     }
     blob = json.dumps(header, separators=(",", ":")).encode("ascii")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
         fh.write(np.array(len(blob), dtype="<u4").tobytes())
         fh.write(blob)

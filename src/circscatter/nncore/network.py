@@ -3,6 +3,12 @@
 A NetworkSpec is an immutable layer list; Parameters hold the matching
 arrays.  Shape propagation runs at build time so an inconsistent spec
 can never reach the forward pass.
+
+Everything a layer kind means lives in its spec class (Conv, Attention,
+Bottleneck, Flatten, Dense, Output; see LayerSpec): its JSON name, shape
+rule, parameter shapes, forward and backward.  The composed passes,
+stage_shapes, the parameter shapes and the model-file kind lookup are
+generic loops over those methods.
 """
 
 from __future__ import annotations
@@ -10,7 +16,8 @@ from __future__ import annotations
 import json
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,41 +31,211 @@ MODEL_MAGIC = b"cscmodel-v1"
 # ---------------------------------------------------------------- layer specs
 
 
+class LayerSpec:
+    """Base of the six layer kinds; each kind's class holds all its rules.
+
+    ``kind`` names the kind in a .model header and ``flat_input`` says
+    whether it reads the (B, d) rows after Flatten or a (B, T, C) tensor;
+    both are class variables, so they stay out of the serialized fields.
+    A kind implements:
+
+    - ``out_shape(i, shape_in, task)``: check the fields against the
+      input shape ((T, C) or an int width) and return the output shape;
+    - ``param_shapes(shape_in)``: name -> (shape, fans) in the order
+      init_parameters draws them, fans being (fan_in, fan_out) for Glorot
+      weights and None for biases and LayerNorm terms;
+    - ``forward(group, h, rng, train)`` -> (output, cache);
+    - ``backward(group, d, cache)`` -> (input gradient, parameter grads).
+    """
+
+    kind: ClassVar[str]
+    flat_input: ClassVar[bool] = False
+
+
 @dataclass(frozen=True)
-class Conv:
+class Conv(LayerSpec):
     filters: int
     kernel_size: int
     stride: int = 1
 
+    kind: ClassVar[str] = "conv"
+
+    def out_shape(self, i, shape_in, task):
+        if not _sizes_ok(self.filters, self.kernel_size, self.stride):
+            raise ValidationError(f"layer {i}: conv sizes must be integers >= 1")
+        return layers.conv_output_length(shape_in[0], self.stride), self.filters
+
+    def param_shapes(self, shape_in):
+        c, k, nf = shape_in[1], self.kernel_size, self.filters
+        return {"w": ((nf, k, c), (k * c, k * nf)), "b": ((nf,), None)}
+
+    def forward(self, group, h, rng, train):
+        z, conv_cache = layers.circular_conv_forward(h, group["w"], group["b"], self.stride)
+        h, sw_cache = layers.swish_forward(z)
+        return h, (conv_cache, sw_cache)
+
+    def backward(self, group, d, cache):
+        conv_cache, sw_cache = cache
+        dz = layers.swish_backward(d, sw_cache)
+        d, dw, db = layers.circular_conv_backward(dz, conv_cache)
+        return d, {"w": dw, "b": db}
+
 
 @dataclass(frozen=True)
-class Attention:
+class Attention(LayerSpec):
     mix_kernel: int = 3
     reduction: int = 8
 
+    kind: ClassVar[str] = "attention"
+
+    def out_shape(self, i, shape_in, task):
+        if not _sizes_ok(self.mix_kernel, self.reduction):
+            raise ValidationError(f"layer {i}: attention sizes must be integers >= 1")
+        if shape_in[1] % self.reduction != 0:
+            raise ValidationError(
+                f"layer {i}: {shape_in[1]} channels not divisible by reduction {self.reduction}")
+        return shape_in
+
+    def param_shapes(self, shape_in):
+        c, k = shape_in[1], self.mix_kernel
+        hidden = c // self.reduction
+        return {"w_mix": ((c, k, c), (k * c, k * c)), "b_mix": ((c,), None),
+                "ln_gain": ((c,), None), "ln_shift": ((c,), None),
+                "w1": ((hidden, c), (c, hidden)), "b1": ((hidden,), None),
+                "w2": ((c, hidden), (hidden, c)), "b2": ((c,), None)}
+
+    def forward(self, group, h, rng, train):
+        return layers.attention_forward(h, group)
+
+    def backward(self, group, d, cache):
+        return layers.attention_backward(d, cache)
+
 
 @dataclass(frozen=True)
-class Bottleneck:
+class Bottleneck(LayerSpec):
     channels: int
 
+    kind: ClassVar[str] = "bottleneck"
+
+    def out_shape(self, i, shape_in, task):
+        if not _sizes_ok(self.channels):
+            raise ValidationError(f"layer {i}: bottleneck channels must be an integer >= 1")
+        if self.channels >= shape_in[1]:
+            warnings.warn(
+                f"layer {i}: bottleneck {self.channels} does not reduce {shape_in[1]} channels")
+        return shape_in[0], self.channels
+
+    def param_shapes(self, shape_in):
+        c, nb = shape_in[1], self.channels
+        return {"w": ((c, nb), (c, nb)), "b": ((nb,), None)}
+
+    def forward(self, group, h, rng, train):
+        return layers.bottleneck_forward(h, group["w"], group["b"])
+
+    def backward(self, group, d, cache):
+        d, dw, db = layers.bottleneck_backward(d, cache)
+        return d, {"w": dw, "b": db}
+
 
 @dataclass(frozen=True)
-class Flatten:
-    pass
+class Flatten(LayerSpec):
+    kind: ClassVar[str] = "flatten"
+
+    def out_shape(self, i, shape_in, task):
+        return shape_in[0] * shape_in[1]
+
+    def param_shapes(self, shape_in):
+        return {}
+
+    def forward(self, group, h, rng, train):
+        return h.reshape(h.shape[0], -1), h.shape
+
+    def backward(self, group, d, cache):
+        return d.reshape(cache), {}
 
 
 @dataclass(frozen=True)
-class Dense:
+class Dense(LayerSpec):
     units: int
     dropout: float = 0.0
     layernorm: bool = True
     l2: float = 0.0
 
+    kind: ClassVar[str] = "dense"
+    flat_input: ClassVar[bool] = True
+
+    def out_shape(self, i, shape_in, task):
+        if not _sizes_ok(self.units):
+            raise ValidationError(f"layer {i}: units must be an integer >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValidationError(f"layer {i}: dropout must be in [0, 1)")
+        if self.l2 < 0:
+            raise ValidationError(f"layer {i}: l2 must be >= 0")
+        return self.units
+
+    def param_shapes(self, shape_in):
+        units = self.units
+        group = {"w": ((units, shape_in), (shape_in, units)), "b": ((units,), None)}
+        if self.layernorm:
+            group["ln_gain"] = ((units,), None)
+            group["ln_shift"] = ((units,), None)
+        return group
+
+    def forward(self, group, h, rng, train):
+        z, dense_cache = layers.dense_forward(h, group["w"], group["b"])
+        h, sw_cache = layers.swish_forward(z)
+        ln_cache = None
+        if self.layernorm:
+            h, ln_cache = layers.layer_norm_forward(h, group["ln_gain"], group["ln_shift"])
+        h, drop_cache = layers.dropout_forward(h, self.dropout, rng, train)
+        return h, (dense_cache, sw_cache, ln_cache, drop_cache)
+
+    def backward(self, group, d, cache):
+        dense_cache, sw_cache, ln_cache, drop_cache = cache
+        d = layers.dropout_backward(d, drop_cache)
+        grads = {}
+        if ln_cache is not None:
+            d, grads["ln_gain"], grads["ln_shift"] = layers.layer_norm_backward(d, ln_cache)
+        dz = layers.swish_backward(d, sw_cache)
+        d, dw, db = layers.dense_backward(dz, dense_cache)
+        if self.l2 > 0.0:
+            dw = dw + (2.0 * self.l2) * group["w"]
+        grads["w"], grads["b"] = dw, db
+        return d, grads
+
 
 @dataclass(frozen=True)
-class Output:
+class Output(LayerSpec):
     units: int
     activation: str = "linear"
+
+    kind: ClassVar[str] = "output"
+    flat_input: ClassVar[bool] = True
+
+    def out_shape(self, i, shape_in, task):
+        if not _sizes_ok(self.units):
+            raise ValidationError(f"layer {i}: units must be an integer >= 1")
+        if self.activation not in ("softmax", "linear"):
+            raise ValidationError(f"unknown activation {self.activation!r}")
+        want = "softmax" if task == "class" else "linear"
+        if self.activation != want:
+            raise ValidationError(f"task {task!r} needs {want} output, got {self.activation}")
+        return self.units
+
+    def param_shapes(self, shape_in):
+        units = self.units
+        return {"w": ((units, shape_in), (shape_in, units)), "b": ((units,), None)}
+
+    def forward(self, group, h, rng, train):
+        z, dense_cache = layers.dense_forward(h, group["w"], group["b"])
+        probs = layers.softmax(z) if self.activation == "softmax" else None
+        return (z if probs is None else probs), (dense_cache, probs)
+
+    def backward(self, group, d, cache):
+        dense_cache, probs = cache
+        dz = layers.softmax_backward(d, probs) if probs is not None else d
+        d, dw, db = layers.dense_backward(dz, dense_cache)
+        return d, {"w": dw, "b": db}
 
 
 def _sizes_ok(*sizes) -> bool:
@@ -68,8 +245,7 @@ def _sizes_ok(*sizes) -> bool:
                for v in sizes)
 
 
-_KINDS = {"conv": Conv, "attention": Attention, "bottleneck": Bottleneck,
-          "flatten": Flatten, "dense": Dense, "output": Output}
+_KINDS = {cls.kind: cls for cls in (Conv, Attention, Bottleneck, Flatten, Dense, Output)}
 
 
 @dataclass(frozen=True)
@@ -93,62 +269,18 @@ class NetworkSpec:
         """Per-layer output shapes: (T, C) tuples before Flatten, ints after."""
         if not self.layers or not isinstance(self.layers[-1], Output):
             raise ValidationError("last layer must be Output")
-        t, c = self.input_t, self.input_c
-        flat = None
+        shape = (self.input_t, self.input_c)
         shapes = []
         for i, spec in enumerate(self.layers):
-            last = i == len(self.layers) - 1
-            if isinstance(spec, Output) and not last:
-                raise ValidationError("Output must be the final layer")
-            if isinstance(spec, (Conv, Attention, Bottleneck)):
-                if flat is not None:
-                    raise ValidationError(f"layer {i}: tensor layer after Flatten")
-                if isinstance(spec, Conv):
-                    if not _sizes_ok(spec.filters, spec.kernel_size, spec.stride):
-                        raise ValidationError(f"layer {i}: conv sizes must be integers >= 1")
-                    t = layers.conv_output_length(t, spec.stride)
-                    c = spec.filters
-                elif isinstance(spec, Attention):
-                    if not _sizes_ok(spec.mix_kernel, spec.reduction):
-                        raise ValidationError(f"layer {i}: attention sizes must be integers >= 1")
-                    if c % spec.reduction != 0:
-                        raise ValidationError(
-                            f"layer {i}: {c} channels not divisible by reduction {spec.reduction}")
-                else:
-                    if not _sizes_ok(spec.channels):
-                        raise ValidationError(
-                            f"layer {i}: bottleneck channels must be an integer >= 1")
-                    if spec.channels >= c:
-                        warnings.warn(
-                            f"layer {i}: bottleneck {spec.channels} does not reduce {c} channels")
-                    c = spec.channels
-                shapes.append((t, c))
-            elif isinstance(spec, Flatten):
-                if flat is not None:
-                    raise ValidationError("only one Flatten allowed")
-                flat = t * c
-                shapes.append(flat)
-            elif isinstance(spec, (Dense, Output)):
-                if flat is None:
-                    raise ValidationError(f"layer {i}: dense layer before Flatten")
-                if not _sizes_ok(spec.units):
-                    raise ValidationError(f"layer {i}: units must be an integer >= 1")
-                if isinstance(spec, Dense):
-                    if not 0.0 <= spec.dropout < 1.0:
-                        raise ValidationError(f"layer {i}: dropout must be in [0, 1)")
-                    if spec.l2 < 0:
-                        raise ValidationError(f"layer {i}: l2 must be >= 0")
-                else:
-                    if spec.activation not in ("softmax", "linear"):
-                        raise ValidationError(f"unknown activation {spec.activation!r}")
-                    want = "softmax" if self.task == "class" else "linear"
-                    if spec.activation != want:
-                        raise ValidationError(
-                            f"task {self.task!r} needs {want} output, got {spec.activation}")
-                flat = spec.units
-                shapes.append(flat)
-            else:
+            if not isinstance(spec, LayerSpec):
                 raise ValidationError(f"unknown layer spec {spec!r}")
+            if isinstance(spec, Output) and i != len(self.layers) - 1:
+                raise ValidationError("Output must be the final layer")
+            if spec.flat_input == isinstance(shape, tuple):
+                where = "before" if spec.flat_input else "after"
+                raise ValidationError(f"layer {i}: {spec.kind} layer {where} Flatten")
+            shape = spec.out_shape(i, shape, self.task)
+            shapes.append(shape)
         return shapes
 
     @property
@@ -156,14 +288,8 @@ class NetworkSpec:
         return self.layers[-1].units
 
     def to_json_dict(self) -> dict:
-        out = []
-        for spec in self.layers:
-            kind = next(k for k, cls in _KINDS.items() if isinstance(spec, cls))
-            entry = {"kind": kind}
-            entry.update(spec.__dict__)
-            out.append(entry)
-        return {"input_t": self.input_t, "input_c": self.input_c,
-                "task": self.task, "layers": out}
+        return {"input_t": self.input_t, "input_c": self.input_c, "task": self.task,
+                "layers": [{"kind": spec.kind, **spec.__dict__} for spec in self.layers]}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "NetworkSpec":
@@ -172,6 +298,8 @@ class NetworkSpec:
             for entry in obj["layers"]:
                 entry = dict(entry)
                 kind = entry.pop("kind")
+                if kind not in _KINDS:
+                    raise FormatError(f"unknown layer kind {kind!r}")
                 specs.append(_KINDS[kind](**entry))
             return cls(obj["input_t"], obj["input_c"], tuple(specs), obj["task"])
         except (KeyError, TypeError) as exc:
@@ -205,10 +333,6 @@ class Parameters:
         return Parameters([{k: np.zeros_like(v) for k, v in group.items()}
                            for group in self.layers])
 
-    def astype(self, dtype) -> "Parameters":
-        return Parameters([{k: v.astype(dtype) for k, v in group.items()}
-                           for group in self.layers])
-
     @property
     def num_params(self) -> int:
         return sum(arr.size for _, _, arr in self.arrays())
@@ -221,36 +345,10 @@ class Parameters:
 
 
 def _parameter_shapes(spec: NetworkSpec) -> list[dict]:
-    """Per layer, name -> (shape, fans) in the order init_parameters
-    draws them; fans is (fan_in, fan_out) for Glorot weights and None for
-    biases and LayerNorm terms.  The one shape rule behind both
-    init_parameters and load_model."""
+    """Per layer, name -> (shape, fans) as LayerSpec.param_shapes gives
+    them: the one shape rule behind both init_parameters and load_model."""
     inputs = [(spec.input_t, spec.input_c)] + spec.stage_shapes()[:-1]
-    out = []
-    for layer, shape_in in zip(spec.layers, inputs):
-        c = shape_in[1] if isinstance(shape_in, tuple) else None
-        if isinstance(layer, Conv):
-            k, nf = layer.kernel_size, layer.filters
-            group = {"w": ((nf, k, c), (k * c, k * nf)), "b": ((nf,), None)}
-        elif isinstance(layer, Attention):
-            k, hidden = layer.mix_kernel, c // layer.reduction
-            group = {"w_mix": ((c, k, c), (k * c, k * c)), "b_mix": ((c,), None),
-                     "ln_gain": ((c,), None), "ln_shift": ((c,), None),
-                     "w1": ((hidden, c), (c, hidden)), "b1": ((hidden,), None),
-                     "w2": ((c, hidden), (hidden, c)), "b2": ((c,), None)}
-        elif isinstance(layer, Bottleneck):
-            nb = layer.channels
-            group = {"w": ((c, nb), (c, nb)), "b": ((nb,), None)}
-        elif isinstance(layer, Flatten):
-            group = {}
-        else:  # Dense or Output, after Flatten: shape_in is the flat width
-            units = layer.units
-            group = {"w": ((units, shape_in), (shape_in, units)), "b": ((units,), None)}
-            if isinstance(layer, Dense) and layer.layernorm:
-                group["ln_gain"] = ((units,), None)
-                group["ln_shift"] = ((units,), None)
-        out.append(group)
-    return out
+    return [layer.param_shapes(shape_in) for layer, shape_in in zip(spec.layers, inputs)]
 
 
 def init_parameters(spec: NetworkSpec, seed: int, dtype=np.float32) -> Parameters:
@@ -275,17 +373,15 @@ def init_parameters(spec: NetworkSpec, seed: int, dtype=np.float32) -> Parameter
 
 
 class NetworkCache:
-    __slots__ = ("items", "params_version", "batch")
+    __slots__ = ("items", "params_version")
 
-    def __init__(self, items, params_version, batch):
+    def __init__(self, items, params_version):
         self.items = items
         self.params_version = params_version
-        self.batch = batch
 
 
 def network_forward(spec: NetworkSpec, params: Parameters, x: np.ndarray,
-                    mode: str = "eval", rng: np.random.Generator | None = None,
-                    check_finite: bool = False):
+                    mode: str = "eval", rng: np.random.Generator | None = None):
     """Run the network on a (B, T, C) batch.
 
     Returns the output matrix in eval mode, or (output, cache) in train
@@ -300,40 +396,11 @@ def network_forward(spec: NetworkSpec, params: Parameters, x: np.ndarray,
     train = mode == "train"
     h = x
     caches = []
-    for i, (layer, group) in enumerate(zip(spec.layers, params.layers)):
-        if isinstance(layer, Conv):
-            z, conv_cache = layers.circular_conv_forward(h, group["w"], group["b"], layer.stride)
-            h, sw_cache = layers.swish_forward(z)
-            caches.append((conv_cache, sw_cache))
-        elif isinstance(layer, Attention):
-            h, cache = layers.attention_forward(h, group)
-            caches.append(cache)
-        elif isinstance(layer, Bottleneck):
-            h, cache = layers.bottleneck_forward(h, group["w"], group["b"])
-            caches.append(cache)
-        elif isinstance(layer, Flatten):
-            caches.append(h.shape)
-            h = h.reshape(h.shape[0], -1)
-        elif isinstance(layer, Dense):
-            z, dense_cache = layers.dense_forward(h, group["w"], group["b"])
-            h, sw_cache = layers.swish_forward(z)
-            ln_cache = None
-            if layer.layernorm:
-                h, ln_cache = layers.layer_norm_forward(h, group["ln_gain"], group["ln_shift"])
-            h, drop_cache = layers.dropout_forward(h, layer.dropout, rng, train)
-            caches.append((dense_cache, sw_cache, ln_cache, drop_cache))
-        else:  # Output
-            z, dense_cache = layers.dense_forward(h, group["w"], group["b"])
-            if layer.activation == "softmax":
-                h = layers.softmax(z)
-                caches.append((dense_cache, h))
-            else:
-                h = z
-                caches.append((dense_cache, None))
-        if check_finite and not np.all(np.isfinite(h)):
-            raise ValidationError(f"non-finite values after layer {i}")
+    for layer, group in zip(spec.layers, params.layers):
+        h, cache = layer.forward(group, h, rng, train)
+        caches.append(cache)
     if train:
-        return h, NetworkCache(caches, params.version, x.shape[0])
+        return h, NetworkCache(caches, params.version)
     return h
 
 
@@ -343,44 +410,10 @@ def network_backward(spec: NetworkSpec, params: Parameters, cache: NetworkCache,
     plus the input gradient.  Returns (grads: Parameters, dx)."""
     if cache.params_version != params.version:
         raise ValidationError("stale cache: parameters changed since the forward pass")
-    grads = [dict() for _ in spec.layers]
+    grads = [None] * len(spec.layers)
     d = dout
     for i in range(len(spec.layers) - 1, -1, -1):
-        layer = spec.layers[i]
-        item = cache.items[i]
-        group = params.layers[i]
-        if isinstance(layer, Conv):
-            conv_cache, sw_cache = item
-            dz = layers.swish_backward(d, sw_cache)
-            d, dw, db = layers.circular_conv_backward(dz, conv_cache)
-            grads[i] = {"w": dw, "b": db}
-        elif isinstance(layer, Attention):
-            d, g = layers.attention_backward(d, item)
-            grads[i] = g
-        elif isinstance(layer, Bottleneck):
-            d, dw, db = layers.bottleneck_backward(d, item)
-            grads[i] = {"w": dw, "b": db}
-        elif isinstance(layer, Flatten):
-            d = d.reshape(item)
-        elif isinstance(layer, Dense):
-            dense_cache, sw_cache, ln_cache, drop_cache = item
-            d = layers.dropout_backward(d, drop_cache)
-            g = {}
-            if ln_cache is not None:
-                d, dgain, dshift = layers.layer_norm_backward(d, ln_cache)
-                g["ln_gain"] = dgain
-                g["ln_shift"] = dshift
-            dz = layers.swish_backward(d, sw_cache)
-            d, dw, db = layers.dense_backward(dz, dense_cache)
-            if layer.l2 > 0.0:
-                dw = dw + (2.0 * layer.l2) * group["w"]
-            g["w"], g["b"] = dw, db
-            grads[i] = g
-        else:  # Output
-            dense_cache, probs = item
-            dz = layers.softmax_backward(d, probs) if probs is not None else d
-            d, dw, db = layers.dense_backward(dz, dense_cache)
-            grads[i] = {"w": dw, "b": db}
+        d, grads[i] = spec.layers[i].backward(params.layers[i], d, cache.items[i])
     return Parameters(grads), d
 
 
@@ -391,15 +424,7 @@ def forward_features(spec: NetworkSpec, params: Parameters, x: np.ndarray) -> np
     for layer, group in zip(spec.layers, params.layers):
         if isinstance(layer, Flatten):
             return h
-        if isinstance(layer, Conv):
-            z, _ = layers.circular_conv_forward(h, group["w"], group["b"], layer.stride)
-            h, _ = layers.swish_forward(z)
-        elif isinstance(layer, Attention):
-            h, _ = layers.attention_forward(h, group)
-        elif isinstance(layer, Bottleneck):
-            h, _ = layers.bottleneck_forward(h, group["w"], group["b"])
-        else:
-            raise ValidationError("spec has no Flatten layer")
+        h, _ = layer.forward(group, h, None, False)
     raise ValidationError("spec has no Flatten layer")
 
 

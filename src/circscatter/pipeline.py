@@ -10,7 +10,6 @@ model registry, and the misclassification analysis.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +35,7 @@ from .geometry import (
     validate_shape,
 )
 from .nncore import NetworkSpec, Parameters, load_model, preset_spec, save_model
-from .serial import atomic_write, format_double
+from .serial import atomic_write, format_double, read_json_object, write_json
 from .training import (
     TrainHistory,
     evaluate_classification,
@@ -149,18 +148,6 @@ def derive_features(features: np.ndarray, t0: int, c0: int) -> np.ndarray:
                                  SUPERSET_T0, SUPERSET_C0)
     stride = SUPERSET_T0 // t0
     return dataio.flatten_tensor(x[..., ::stride, :c0])
-
-
-def derive_dataset(ds: Dataset, t0: int, c0: int) -> Dataset:
-    """A new Dataset with features restricted to a sub-layout; targets,
-    ids and impedance mode carry over unchanged."""
-    if ds.t0 != SUPERSET_T0 or ds.c0 != SUPERSET_C0:
-        raise LayoutError(
-            f"derivation needs the (t0={SUPERSET_T0}, c0={SUPERSET_C0}) superset, "
-            f"got (t0={ds.t0}, c0={ds.c0})")
-    feats = derive_features(ds.features, t0, c0)
-    return Dataset(feats, ds.targets.copy(), ds.task, t0, c0, ds.classes,
-                   list(ds.shape_ids), fixed_impedance=ds.fixed_impedance)
 
 
 def generate_superset(class_tags, n: int, seed: int,
@@ -281,16 +268,14 @@ class TrainedModel:
                         if self.target_scaler is not None else None),
             "meta": self.meta_dict(),
         }
-        with atomic_write(directory / f"{name}.scaler.json") as fh:
-            json.dump(blob, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(directory / f"{name}.scaler.json", blob)
         return self.meta_dict()
 
     @classmethod
     def load(cls, directory, name: str) -> "TrainedModel":
         directory = Path(directory)
         spec, params = load_model(directory / f"{name}.model")
-        blob = _read_json_object(directory / f"{name}.scaler.json")
+        blob = read_json_object(directory / f"{name}.scaler.json")
         try:
             meta = blob["meta"]
             feature_scaler = Standardizer.from_json_dict(blob["features"])
@@ -314,21 +299,8 @@ class TrainedModel:
         return model
 
 
-def _read_json_object(path: Path) -> dict:
-    """Parse a scaler or manifest file; text that is not JSON, or JSON
-    that is not an object, is a FormatError."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise FormatError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise FormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    return data
-
-
 def _read_manifest(path: Path) -> dict:
-    data = _read_json_object(path)
+    data = read_json_object(path)
     if data.get("format") != REGISTRY_FORMAT:
         raise FormatError(f"{path}: unknown manifest format {data.get('format')!r}")
     if not isinstance(data.get("models", {}), dict):
@@ -343,9 +315,7 @@ def _update_manifest(directory, name: str, meta: dict) -> None:
         data = _read_manifest(path)
         data.setdefault("models", {})
     data["models"][name] = meta
-    with atomic_write(path) as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, data)
 
 
 @dataclass
@@ -527,7 +497,8 @@ def write_curve_csv(path, rec: CurveReconstruction) -> None:
         lines.append(",".join(format_double(v) for v in (
             rec.tau[i], rec.true_points[i, 0], rec.true_points[i, 1],
             rec.pred_points[i, 0], rec.pred_points[i, 1])))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_curve_csv(path):
@@ -700,7 +671,8 @@ def _hist_csv(path, errors: np.ndarray, bins: int = 40) -> None:
     lines = ["bin_left,bin_right,count"]
     for i, c in enumerate(counts):
         lines.append(f"{format_double(edges[i])},{format_double(edges[i + 1])},{int(c)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _regression_curves(model: TrainedModel, ds: Dataset, indices: np.ndarray,
@@ -800,9 +772,7 @@ def run_experiment(suite: str, out_dir=None, scale: float = 1.0, seed: int = 0,
             "data": None if data is None or isinstance(data, Dataset) else str(data),
         }
         files["config"] = out_path / f"{prefix}config.json"
-        with open(files["config"], "w") as fh:
-            json.dump(run_config, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(files["config"], run_config)
 
         files["history"] = out_path / f"{prefix}history.csv"
         history.to_csv(files["history"])
@@ -813,9 +783,7 @@ def run_experiment(suite: str, out_dir=None, scale: float = 1.0, seed: int = 0,
             "clean": clean.to_json_dict(), "noise": noise,
         }
         files["report"] = out_path / f"{prefix}report.json"
-        with open(files["report"], "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(files["report"], report)
 
         name = s.registry_name
         meta = model.save(out_path, name)

@@ -1,5 +1,6 @@
-"""Deterministic text encoding of doubles and small JSON documents, and
-the atomic file write that artifacts go through.
+"""Deterministic text encoding of doubles and small JSON documents, the
+one reader of JSON-object files, and the atomic file write that every
+artifact goes through.
 
 Doubles are written with 17 significant digits, which round-trips every
 finite IEEE-754 binary64 value exactly.  The stock json encoder offers
@@ -9,6 +10,7 @@ no hook for float formatting, hence the tiny recursive dumper here.
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
 from pathlib import Path
@@ -78,6 +80,26 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
+def read_json_object(path) -> dict:
+    """Parse a config, scaler or manifest file; text that is not UTF-8
+    JSON, or JSON that is not an object, is a FormatError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise FormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as indented, key-sorted JSON plus a newline, atomically."""
+    with atomic_write(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @contextlib.contextmanager
 def atomic_write(path, mode: str = "w"):
     """Open a temporary file beside ``path`` for writing and move it onto
@@ -86,11 +108,13 @@ def atomic_write(path, mode: str = "w"):
     write from a killed or failing run.  If the block raises, the
     temporary file is removed and ``path`` is left as it was.  The file
     is not fsynced: this guards against a dying process, not a power cut.
+    Text mode encodes ASCII, which is all any artifact here holds (.17g
+    numbers, json's escaped strings).
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "ascii") as fh:
             yield fh
         os.replace(tmp, path)
     finally:

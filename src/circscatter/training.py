@@ -23,7 +23,7 @@ from .nncore import (
     network_forward,
 )
 from .nncore import network as _network
-from .serial import format_double
+from .serial import atomic_write, format_double
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -161,7 +161,7 @@ class TrainHistory:
         return self.valid_loss[self.best_epoch - 1]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
+        with atomic_write(path) as fh:
             cols = ["epoch", "train_loss", "valid_loss"]
             if self.train_acc is not None:
                 cols += ["train_acc", "valid_acc"]

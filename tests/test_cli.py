@@ -78,6 +78,9 @@ def test_invalid_config_file(tmp_path):
     lst = tmp_path / "list.json"
     lst.write_text("[1, 2]")
     assert run("generate", "--config", str(lst), "--out", str(tmp_path)) == 4
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"seed": 1}'.encode("utf-16-le"))
+    assert run("generate", "--config", str(utf16), "--out", str(tmp_path)) == 4
 
 
 # ------------------------------------------------------------------- train
@@ -158,19 +161,22 @@ def test_evaluate_missing_model(trained_run, tmp_path):
 
 
 def test_evaluate_bad_model_spec_exit_code(trained_run, tmp_path, capsys):
-    # a .model whose spec fails validation (Output units -1) is a format
-    # error: exit 4, not the exit 2 of a bad flag
+    # a .model whose spec fails validation (Output units -1) or names a
+    # layer kind nncore lacks is a format error: exit 4, not the exit 2
+    # of a bad flag
     out, data = trained_run
     for name in ("peanut.model", "peanut.scaler.json"):
         shutil.copy(out / name, tmp_path / name)
     path = tmp_path / "peanut.model"
     magic, header, payload = path.read_bytes().split(b"\n", 2)
-    spec = json.loads(header)
-    spec["spec"]["layers"][-1]["units"] = -1
-    path.write_bytes(b"\n".join([magic, json.dumps(spec).encode("ascii"), payload]))
-    rc = run("evaluate", "--model", str(tmp_path / "peanut"), "--data", str(data))
-    assert rc == 4
-    assert "units must be an integer >= 1" in capsys.readouterr().err
+    for key, value, message in (("units", -1, "units must be an integer >= 1"),
+                                ("kind", "pooling", "unknown layer kind 'pooling'")):
+        spec = json.loads(header)
+        spec["spec"]["layers"][-1][key] = value
+        path.write_bytes(b"\n".join([magic, json.dumps(spec).encode("ascii"), payload]))
+        rc = run("evaluate", "--model", str(tmp_path / "peanut"), "--data", str(data))
+        assert rc == 4
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("header", [b"[1, 2]", b'{"t0": 32}'])

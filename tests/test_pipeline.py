@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -31,7 +32,6 @@ from circscatter.pipeline import (
     ModelRegistry,
     TrainedModel,
     aligned_discrepancy,
-    derive_dataset,
     derive_features,
     evaluate_model,
     generate_superset,
@@ -116,12 +116,6 @@ def test_derive_features_matches_direct_generation():
 
 def test_derive_dataset_and_errors():
     sup = generate_superset((2,), 4, seed=3)
-    sub = derive_dataset(sup, 32, 2)
-    assert (sub.t0, sub.c0) == (32, 2) and sub.task == "reg"
-    npt.assert_array_equal(sub.targets, sup.targets)
-    assert sub.shape_ids == sup.shape_ids
-    with pytest.raises(LayoutError):
-        derive_dataset(sub, 32, 2)  # not a superset
     with pytest.raises(LayoutError):
         derive_features(sup.features, 32, 3)
     with pytest.raises(LayoutError):
@@ -348,6 +342,32 @@ def test_failed_artifact_writes_leave_previous_files(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         pipeline._update_manifest(tmp_path, "peanut", {})
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+class _DiskFullTargets:
+    """Stands in for a dataset's labels; reading them fails as a full
+    disk would, after the header and the first features are written."""
+
+    def __array__(self, *args, **kwargs):
+        raise OSError("disk full")
+
+    __getitem__ = __array__
+
+
+def test_failed_dataset_write_leaves_previous_file(tmp_path):
+    ds = Dataset(np.arange(256.0).reshape(4, 64), np.array([1, 2, 1, 2]), "class",
+                 32, 2, (1, 2), ["0:0", "0:1", "0:2", "0:3"])
+    broken = dataclasses.replace(ds)
+    broken.targets = _DiskFullTargets()
+    for binary in (False, True):
+        path = tmp_path / f"binary_{binary}.csc"
+        dataio.write_dataset(path, ds, binary=binary)
+        before = path.read_bytes()
+        with pytest.raises(OSError, match="disk full"):
+            dataio.write_dataset(path, broken, binary=binary)
+        assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["binary_False.csc",
+                                                          "binary_True.csc"]
 
 
 # -------------------------------------------------------------- inference
