@@ -26,6 +26,8 @@ channel-major: features[c*T0 + i] = X[i, c].
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -35,6 +37,7 @@ import numpy as np
 
 from .errors import FormatError, LayoutError, ValidationError
 from .geometry import (
+    N_COEFFS,
     BoundaryShape,
     ScatterConfig,
     ShapeClass,
@@ -212,6 +215,8 @@ class Dataset:
     def __post_init__(self):
         if self.task not in ("class", "reg"):
             raise ValidationError(f"unknown task {self.task!r}")
+        if self.t0 < 1 or self.c0 < 1:
+            raise ValidationError(f"t0 and c0 must be >= 1, got t0={self.t0}, c0={self.c0}")
         if self.features.ndim != 2 or self.features.shape[1] != self.t0 * self.c0:
             raise ValidationError("features must be (n, t0*c0)")
         if len(self.shape_ids) != len(self.features):
@@ -234,6 +239,22 @@ class Dataset:
     @property
     def target_dim(self) -> int:
         return 1 if self.task == "class" else self.targets.shape[1]
+
+    def subset(self, rows) -> "Dataset":
+        """The given rows, in that order, as a new dataset."""
+        return dataclasses.replace(self, features=self.features[rows],
+                                   targets=self.targets[rows],
+                                   shape_ids=[self.shape_ids[i] for i in rows])
+
+
+@contextlib.contextmanager
+def _file_fields(context: str):
+    """Where a reader builds its Dataset: a field the Dataset refuses is a
+    FormatError, its message prefixed with ``context``."""
+    try:
+        yield
+    except (TypeError, ValidationError) as exc:
+        raise FormatError(f"{context}: {exc}") from exc
 
 
 def generate_dataset(class_tags, n: int, config: ScatterConfig, seed: int,
@@ -269,8 +290,8 @@ def generate_dataset(class_tags, n: int, config: ScatterConfig, seed: int,
     if task == "class":
         targets = np.empty(n, dtype=np.int64)
     else:
-        p = {ShapeClass.PEANUT: 2, ShapeClass.KITE: 3, ShapeClass.STAR: 11}[tags[0]]
-        targets = np.empty((n, p + 2 + (1 if include_imp else 0)), dtype=np.float64)
+        p = N_COEFFS[tags[0]] + 2 + (1 if include_imp else 0)
+        targets = np.empty((n, p), dtype=np.float64)
 
     for i in range(n):
         tag = tags[i % len(tags)]
@@ -444,17 +465,10 @@ def read_dataset_text(path) -> Dataset:
             shape_ids.append(cols[-1])
     if not features:
         raise FormatError("dataset has no rows", line=2)
-    features = np.asarray(features, dtype=np.float64)
-    if head["task"] == "class":
-        targets = np.asarray(targets, dtype=np.int64)
-        bad = set(np.unique(targets)) - set(head["classes"])
-        if bad:
-            raise FormatError(f"labels {sorted(bad)} not in declared classes")
-        targets_arr = targets
-    else:
-        targets_arr = np.asarray(targets, dtype=np.float64)
-    return Dataset(features, targets_arr, head["task"], head["t0"], head["c0"],
-                   head["classes"], shape_ids, fixed_impedance=head["fixed_lambda"])
+    with _file_fields("invalid dataset"):
+        return Dataset(np.asarray(features, dtype=np.float64), targets, head["task"],
+                       head["t0"], head["c0"], head["classes"], shape_ids,
+                       fixed_impedance=head["fixed_lambda"])
 
 
 # ---------------------------------------------------------------- binary files
@@ -512,11 +526,9 @@ def read_dataset_binary(path) -> Dataset:
             targets = targets.reshape(n, p).astype(np.float64)
         if fh.read(1):
             raise FormatError("trailing bytes after payload")
-    try:
+    with _file_fields("bad binary header"):
         return Dataset(features, targets, task, t0, c0, tuple(header["classes"]),
                        list(header["shape_ids"]), fixed_impedance=header.get("fixed_lambda"))
-    except (TypeError, ValidationError) as exc:
-        raise FormatError(f"bad binary header: {exc}") from exc
 
 
 def write_dataset(path, ds: Dataset, binary: bool = False) -> None:

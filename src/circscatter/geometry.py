@@ -42,7 +42,7 @@ class ShapeClass(IntEnum):
     STAR = 3
 
 
-_N_COEFFS = {ShapeClass.PEANUT: 2, ShapeClass.KITE: 3, ShapeClass.STAR: 2 * STAR_Q + 1}
+N_COEFFS = {ShapeClass.PEANUT: 2, ShapeClass.KITE: 3, ShapeClass.STAR: 2 * STAR_Q + 1}
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ class BoundaryShape:
         self.class_tag = ShapeClass(self.class_tag)
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
         self.center = np.asarray(self.center, dtype=np.float64)
-        n = _N_COEFFS[self.class_tag]
+        n = N_COEFFS[self.class_tag]
         if self.coeffs.shape != (n,):
             raise ValidationError(
                 f"{self.class_tag.name.lower()} expects {n} coefficients, "
@@ -419,7 +419,7 @@ def targets_to_shape(class_tag, values, fixed_impedance: float | None = None,
     impedance is included; when absent, ``fixed_impedance`` must be given."""
     tag = ShapeClass(class_tag)
     values = np.asarray(values, dtype=np.float64)
-    n = _N_COEFFS[tag]
+    n = N_COEFFS[tag]
     if values.shape == (n + 3,):
         impedance = float(values[n + 2])
     elif values.shape == (n + 2,):

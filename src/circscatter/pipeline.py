@@ -166,20 +166,14 @@ def superset_features(shape: BoundaryShape,
     return dataio.feature_row(shape, cfg, ChannelLayout.standard(cfg.c0, cfg.phis))
 
 
-def dataset_config(ds: Dataset, base: ScatterConfig | None = None) -> ScatterConfig:
-    """The ScatterConfig a dataset was (or would be) generated under."""
-    phis = (0.0, math.pi) if ds.c0 == 8 else (0.0,)
-    if base is None:
-        return ScatterConfig(t0=ds.t0, c0=ds.c0, phis=phis)
-    return dataclasses.replace(base, t0=ds.t0, c0=ds.c0, phis=phis)
-
-
 def regenerate_shape(ds: Dataset, i: int,
                      config: ScatterConfig | None = None) -> BoundaryShape:
     """Rebuild the exact obstacle behind dataset row i.
 
     Rows are pure functions of (seed, index) via spawned child seeds, so
     the dataset stores "{seed}:{index}" ids instead of shape parameters.
+    Sampling reads only ``config.t_boundary``, so the dataset's own
+    layout need not be restored.
     """
     sid = ds.shape_ids[i]
     try:
@@ -191,9 +185,9 @@ def regenerate_shape(ds: Dataset, i: int,
         tag = int(ds.targets[i])
     else:
         tag = int(ds.classes[0])
-    cfg = dataset_config(ds, config)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-    return sample_shape(tag, rng, cfg, fixed_impedance=ds.fixed_impedance)
+    return sample_shape(tag, rng, config or ScatterConfig(),
+                        fixed_impedance=ds.fixed_impedance)
 
 
 # --------------------------------------------------------------- registry
@@ -586,10 +580,7 @@ def misclassification_report(registry: ModelRegistry, ds: Dataset,
     if registry.classifier is None:
         raise ValidationError("registry has no classifier")
     clf = registry.classifier
-    if (ds.t0, ds.c0) != (clf.t0, clf.c0):
-        raise LayoutError(
-            f"dataset layout (t0={ds.t0}, c0={ds.c0}) does not match the "
-            f"classifier (t0={clf.t0}, c0={clf.c0})")
+    _check_fits(ds, clf.spec, clf.classes, "the classifier")
     probs = clf.predict_probs(ds.features)
     pred = np.asarray(clf.classes)[np.argmax(probs, axis=1)]
     true = np.asarray(ds.targets)
@@ -612,10 +603,7 @@ def misclassification_report(registry: ModelRegistry, ds: Dataset,
             pred_shape = targets_to_shape(pred_tag, values,
                                           fixed_impedance=reg.fixed_impedance,
                                           check_ranges=False)
-            try:
-                eval_curve(pred_shape, boundary_grid(curve_points))
-            except DegenerateShapeError:
-                degenerate = True
+            degenerate = reconstruct_curve(pred_shape, curve_points).degenerate
             disc = aligned_discrepancy(pred_shape, true_shape, curve_points)
         entries.append(MisclassifiedSample(
             index=int(i), true_class=int(true[i]), predicted_class=pred_tag,
@@ -643,27 +631,23 @@ class ExperimentResult:
     files: dict
 
 
-def _check_dataset_matches(ds: Dataset, s: SuiteSpec, spec: NetworkSpec) -> None:
-    if (ds.t0, ds.c0) != (s.t0, s.c0):
+def _check_fits(ds: Dataset, spec: NetworkSpec, classes, who: str) -> None:
+    """Refuse a dataset the network ``spec`` over ``classes`` cannot train
+    on or be scored against; ``who`` names that network in the message."""
+    if (ds.t0, ds.c0) != (spec.input_t, spec.input_c):
+        raise LayoutError(
+            f"dataset layout (t0={ds.t0}, c0={ds.c0}) does not match {who} "
+            f"(t0={spec.input_t}, c0={spec.input_c})")
+    if ds.task != spec.task:
+        raise ValidationError(f"dataset task {ds.task!r} does not match {who} "
+                              f"task {spec.task!r}")
+    if ds.classes != tuple(classes):
+        raise ValidationError(f"dataset classes {ds.classes} do not match {who} "
+                              f"classes {tuple(classes)}")
+    if ds.task == "reg" and ds.target_dim != spec.output_dim:
         raise ValidationError(
-            f"dataset layout (t0={ds.t0}, c0={ds.c0}) does not match suite "
-            f"{s.name!r} (t0={s.t0}, c0={s.c0})")
-    if ds.task != s.task:
-        raise ValidationError(f"dataset task {ds.task!r} != suite task {s.task!r}")
-    if s.task == "class":
-        if ds.classes != tuple(int(t) for t in s.class_tags):
-            raise ValidationError(
-                f"dataset classes {ds.classes} do not match suite {s.name!r} "
-                f"classes {tuple(int(t) for t in s.class_tags)}")
-    else:
-        if ds.classes != (int(s.class_tags[0]),):
-            raise ValidationError(
-                f"dataset holds class {ds.classes} but suite {s.name!r} "
-                f"regresses class {int(s.class_tags[0])}")
-        if ds.target_dim != spec.output_dim:
-            raise ValidationError(
-                f"dataset has {ds.target_dim} targets but preset {s.preset} "
-                f"outputs {spec.output_dim} (fixed vs variable impedance?)")
+            f"dataset has {ds.target_dim} targets but {who} outputs "
+            f"{spec.output_dim} (fixed vs variable impedance?)")
 
 
 def _hist_csv(path, errors: np.ndarray, bins: int = 40) -> None:
@@ -675,24 +659,26 @@ def _hist_csv(path, errors: np.ndarray, bins: int = 40) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _regression_curves(model: TrainedModel, ds: Dataset, indices: np.ndarray,
-                       out_dir: Path, prefix: str, seed: int,
-                       curve_points: int, config: ScatterConfig | None) -> dict:
-    """Write max/min/random truth-vs-prediction curve files over the given
-    rows; returns {kind: path}."""
-    preds = model.predict_params(ds.features[indices])
-    truth = np.asarray(ds.targets)[indices]
-    err = np.sqrt(np.sum((preds - truth) ** 2, axis=1))
+def _row_errors(preds: np.ndarray, ds: Dataset) -> np.ndarray:
+    """Euclidean error of each predicted target row against the truth."""
+    return np.sqrt(np.sum((preds - ds.targets) ** 2, axis=1))
+
+
+def _regression_curves(ds: Dataset, preds: np.ndarray, out_dir: Path, prefix: str,
+                       seed: int, curve_points: int,
+                       config: ScatterConfig | None) -> dict:
+    """Write max/min/random truth-vs-prediction curve files over the rows
+    of ``ds`` predicted as ``preds``; returns {kind: path}."""
+    err = _row_errors(preds, ds)
     picks = {
         "max": int(np.argmax(err)),
         "min": int(np.argmin(err)),
-        "random": int(np.random.default_rng(seed).integers(len(indices))),
+        "random": int(np.random.default_rng(seed).integers(len(ds))),
     }
     tag = int(ds.classes[0])
     files = {}
     for kind, j in picks.items():
-        row_index = int(indices[j])
-        true_shape = regenerate_shape(ds, row_index, config)
+        true_shape = regenerate_shape(ds, j, config)
         pred_shape = targets_to_shape(tag, preds[j],
                                       fixed_impedance=ds.fixed_impedance,
                                       check_ranges=False)
@@ -709,10 +695,11 @@ def run_experiment(suite: str, out_dir=None, scale: float = 1.0, seed: int = 0,
                    curve_points: int = 256, save_dataset: bool = False,
                    config: ScatterConfig | None = None,
                    verbose: bool = False) -> ExperimentResult:
-    """Run one suite end to end: data, preset training, clean evaluation,
-    noise sweep, and (for regression) error histogram plus max/min/random
-    reconstruction curves.  ``data`` may be a Dataset or a dataset path;
-    omitted, the suite's dataset is generated at ``scale``.
+    """Run one suite end to end: data, preset training, then the model
+    tools on the test rows: clean evaluation, noise sweep, and (for
+    regression) error histogram plus max/min/random reconstruction
+    curves.  ``data`` may be a Dataset or a dataset path; omitted, the
+    suite's dataset is generated at ``scale``.
     ``train_overrides`` update the preset TrainConfig fields."""
     s = suite_spec(suite)
     spec = preset_spec(s.preset)
@@ -722,41 +709,29 @@ def run_experiment(suite: str, out_dir=None, scale: float = 1.0, seed: int = 0,
         ds = data
     else:
         ds = dataio.read_dataset(data)
-    _check_dataset_matches(ds, s, spec)
+    _check_fits(ds, spec, s.class_tags, f"suite {s.name!r}")
 
     n = len(ds)
     split = dataio.split_dataset(n, seed)
     feature_scaler = Standardizer.fit(ds.features[split.train])
-    x = feature_scaler.apply(ds.features)
-    if s.task == "class":
-        y = ds.targets
-        target_scaler = None
-        classes = ds.classes
-    else:
-        target_scaler = Standardizer.fit(np.asarray(ds.targets)[split.train])
-        y = target_scaler.apply(np.asarray(ds.targets))
-        classes = None
+    target_scaler, y = None, ds.targets
+    if s.task == "reg":
+        target_scaler = Standardizer.fit(ds.targets[split.train])
+        y = target_scaler.apply(ds.targets)
 
     cfg = preset_train_config(s.preset, seed=seed, **(train_overrides or {}))
-    params, history = train(spec, x, y, split, cfg, classes=classes, verbose=verbose)
+    params, history = train(spec, feature_scaler.apply(ds.features), y, split, cfg,
+                            classes=ds.classes, verbose=verbose)
     model = TrainedModel(
         spec, params, feature_scaler, target_scaler, preset=s.preset, seed=seed,
         classes=ds.classes if s.task == "class" else None,
         class_tag=None if s.task == "class" else int(ds.classes[0]),
         fixed_impedance=ds.fixed_impedance)
 
-    x_test = x[split.test]
+    test = ds.subset(split.test)
     levels = [0.0] + [float(v) for v in noise_levels]
-    if s.task == "class":
-        labels_test = np.asarray(ds.targets)[split.test]
-        clean = evaluate_classification(spec, params, x_test, labels_test, ds.classes)
-        noise = noise_sweep(spec, params, x_test, labels_test, levels, seed=seed,
-                            trials=noise_trials, classes=ds.classes)
-    else:
-        targets_test = np.asarray(ds.targets)[split.test]
-        clean = evaluate_regression(spec, params, x_test, targets_test, target_scaler)
-        noise = noise_sweep(spec, params, x_test, targets_test, levels, seed=seed,
-                            trials=noise_trials, target_scaler=target_scaler)
+    clean = evaluate_model(model, test)
+    noise = sweep_model(model, test, levels, noise_trials, seed)
 
     files = {}
     out_path = None
@@ -796,13 +771,11 @@ def run_experiment(suite: str, out_dir=None, scale: float = 1.0, seed: int = 0,
             dataio.write_dataset(files["dataset"], ds, binary=True)
 
         if s.task == "reg":
-            preds = model.predict_params(ds.features[split.test])
-            err = np.sqrt(np.sum((preds - np.asarray(ds.targets)[split.test]) ** 2,
-                                 axis=1))
+            preds = model.predict_params(test.features)
             files["errors_hist"] = out_path / f"{prefix}errors_hist.csv"
-            _hist_csv(files["errors_hist"], err)
-            files.update(_regression_curves(model, ds, split.test, out_path, prefix,
-                                            seed, curve_points, config))
+            _hist_csv(files["errors_hist"], _row_errors(preds, test))
+            files.update(_regression_curves(test, preds, out_path, prefix, seed,
+                                            curve_points, config))
 
     return ExperimentResult(suite=suite, n=n, preset=s.preset, seed=seed,
                             scale=scale, model=model, history=history, clean=clean,
@@ -812,24 +785,9 @@ def run_experiment(suite: str, out_dir=None, scale: float = 1.0, seed: int = 0,
 # ------------------------------------------------ standalone model tools
 
 
-def _check_model_dataset(model: TrainedModel, ds: Dataset) -> None:
-    if (ds.t0, ds.c0) != (model.t0, model.c0):
-        raise ValidationError(
-            f"dataset layout (t0={ds.t0}, c0={ds.c0}) does not match the model "
-            f"(t0={model.t0}, c0={model.c0})")
-    if ds.task != model.spec.task:
-        raise ValidationError(f"dataset task {ds.task!r} != model task {model.spec.task!r}")
-    if ds.task == "class" and ds.classes != model.classes:
-        raise ValidationError(f"dataset classes {ds.classes} != model classes {model.classes}")
-    if ds.task == "reg" and ds.target_dim != model.spec.output_dim:
-        raise ValidationError(
-            f"dataset has {ds.target_dim} targets but the model outputs "
-            f"{model.spec.output_dim}")
-
-
 def evaluate_model(model: TrainedModel, ds: Dataset):
-    """Clean metrics of a trained model over a whole dataset file."""
-    _check_model_dataset(model, ds)
+    """Clean metrics of a trained model over a whole dataset."""
+    _check_fits(ds, model.spec, model.classes or (model.class_tag,), "the model")
     x = model.feature_scaler.apply(ds.features)
     if ds.task == "class":
         return evaluate_classification(model.spec, model.params, x, ds.targets,
@@ -840,14 +798,12 @@ def evaluate_model(model: TrainedModel, ds: Dataset):
 
 def sweep_model(model: TrainedModel, ds: Dataset, levels=DEFAULT_NOISE_LEVELS,
                 trials: int = 5, seed: int = 0) -> list:
-    """Noise sweep of a trained model over a whole dataset file."""
-    _check_model_dataset(model, ds)
+    """Noise sweep of a trained model over a whole dataset."""
+    _check_fits(ds, model.spec, model.classes or (model.class_tag,), "the model")
     x = model.feature_scaler.apply(ds.features)
-    classes = model.classes if ds.task == "class" else None
-    scaler = model.target_scaler if ds.task == "reg" else None
     return noise_sweep(model.spec, model.params, x, ds.targets,
                        [float(v) for v in levels], seed=seed, trials=trials,
-                       classes=classes, target_scaler=scaler)
+                       classes=model.classes, target_scaler=model.target_scaler)
 
 
 def reconstruct_samples(model: TrainedModel, ds: Dataset, out_dir, seed: int = 0,
@@ -855,10 +811,10 @@ def reconstruct_samples(model: TrainedModel, ds: Dataset, out_dir, seed: int = 0
                         config: ScatterConfig | None = None) -> dict:
     """Emit max/min/random truth-vs-prediction curve files for a
     regression dataset under a trained model."""
-    _check_model_dataset(model, ds)
+    _check_fits(ds, model.spec, model.classes or (model.class_tag,), "the model")
     if ds.task != "reg":
         raise ValidationError("curve reconstruction needs a regression dataset")
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    return _regression_curves(model, ds, np.arange(len(ds)), out_path, "",
+    return _regression_curves(ds, model.predict_params(ds.features), out_path, "",
                               seed, curve_points, config)

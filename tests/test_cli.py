@@ -154,6 +154,17 @@ def test_evaluate_command(trained_run, tmp_path, capsys):
                "--data", str(data)) == 0
 
 
+def test_evaluate_refuses_other_class(trained_run, tmp_path, capsys):
+    out, _ = trained_run
+    # a fixed-lambda kite row has as many targets as a peanut regressor outputs
+    assert run("generate", "--suite", "kite", "--scale", "0.0004",
+               "--fixed-lambda", "2", "--out", str(tmp_path)) == 0
+    rc = run("evaluate", "--model", str(out / "peanut"),
+             "--data", str(tmp_path / "kite.csc"))
+    assert rc == 2
+    assert "classes (2,) do not match the model classes (1,)" in capsys.readouterr().err
+
+
 def test_evaluate_missing_model(trained_run, tmp_path):
     _, data = trained_run
     rc = run("evaluate", "--model", str(tmp_path / "nope"), "--data", str(data))

@@ -419,6 +419,18 @@ def test_text_parse_errors(tmp_path):
                     "0,0,0,0,0,0,0,0,1,id\n")
     with pytest.raises(errors.FormatError, match="line 1"):
         read_dataset_text(path)
+    # sizes the rows happen to fit: t0*c0 = 1 and t0*c0 = 0 feature columns
+    path.write_text("circscatter-v1 T0=-1 C0=-1 P=1 task=class classes=1,2\n"
+                    "0,1,id\n0,2,id\n")
+    with pytest.raises(errors.FormatError, match="t0 and c0 must be >= 1"):
+        read_dataset_text(path)
+    path.write_text("circscatter-v1 T0=0 C0=2 P=1 task=class classes=1,2\n1,id\n")
+    with pytest.raises(errors.FormatError, match="t0 and c0 must be >= 1"):
+        read_dataset_text(path)
+    path.write_text("circscatter-v1 T0=4 C0=2 P=1 task=class classes=1,2\n"
+                    "0,0,0,0,0,0,0,0,3,id\n")
+    with pytest.raises(errors.FormatError, match="not in classes"):
+        read_dataset_text(path)
 
 
 # ---------------------------------------------------------------- binary files
@@ -502,6 +514,13 @@ def test_binary_header_errors(tmp_path):
             blob, json.dumps({**header, key: value}).encode("ascii")))
         with pytest.raises(errors.FormatError, match="bad binary header"):
             read_dataset_binary(bad)
+    # t0 = 0 with a payload of targets only: every size check but the
+    # dataset's own passes
+    targets = np.ascontiguousarray(ds.targets, dtype="<f8").tobytes()
+    zero = json.dumps({**header, "t0": 0}).encode("ascii")
+    bad.write_bytes(b"CSC1" + np.array(len(zero), dtype="<u4").tobytes() + zero + targets)
+    with pytest.raises(errors.FormatError, match="bad binary header: t0 and c0 must be >= 1"):
+        read_dataset_binary(bad)
 
 
 # ---------------------------------------------------------------- dataset type
@@ -514,3 +533,15 @@ def test_dataset_validation():
     with pytest.raises(errors.ValidationError):
         Dataset(feats, np.array([1, 1, 1, 1]), "class", 32, 2, (1,), ["a"] * 3)
     Dataset(feats, np.array([1, 2, 1, 2]), "class", 32, 2, (1, 2), ["a"] * 4)  # valid
+    with pytest.raises(errors.ValidationError, match="t0 and c0"):
+        Dataset(np.zeros((4, 0)), np.array([1, 2, 1, 2]), "class", 0, 2, (1, 2), ["a"] * 4)
+
+
+def test_dataset_subset_keeps_row_order():
+    ds = generate_dataset([1], 5, ScatterConfig(), seed=3, impedance=2.0)
+    sub = ds.subset(np.array([4, 0, 2]))
+    npt.assert_array_equal(sub.features, ds.features[[4, 0, 2]])
+    npt.assert_array_equal(sub.targets, ds.targets[[4, 0, 2]])
+    assert sub.shape_ids == ["3:4", "3:0", "3:2"]
+    assert (sub.task, sub.t0, sub.c0, sub.classes, sub.fixed_impedance) == (
+        ds.task, ds.t0, ds.c0, ds.classes, ds.fixed_impedance)

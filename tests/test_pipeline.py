@@ -634,6 +634,12 @@ def test_evaluate_and_sweep_model(tiny_peanut_model):
     kites = suite_dataset("kite", scale=10 / 30000, seed=2)
     with pytest.raises(ValidationError):
         evaluate_model(tiny_peanut_model, kites)
+    # 3 coefficients + 2 center: as many targets as a peanut regressor outputs
+    fixed_kites = dataio.generate_dataset((2,), 10, ScatterConfig(), seed=2, impedance=2.0)
+    assert fixed_kites.target_dim == tiny_peanut_model.spec.output_dim
+    for tool in (evaluate_model, sweep_model):
+        with pytest.raises(ValidationError, match="classes"):
+            tool(tiny_peanut_model, fixed_kites)
 
 
 def test_reconstruct_samples(tiny_peanut_model, tmp_path):
@@ -648,3 +654,7 @@ def test_reconstruct_samples(tiny_peanut_model, tmp_path):
     cls_ds = suite_dataset("classification", scale=9 / 90000, seed=1)
     with pytest.raises(ValidationError):
         reconstruct_samples(tiny_peanut_model, cls_ds, tmp_path)
+    fixed_kites = dataio.generate_dataset((2,), 6, ScatterConfig(), seed=2, impedance=2.0)
+    with pytest.raises(ValidationError, match="classes"):
+        reconstruct_samples(tiny_peanut_model, fixed_kites, tmp_path / "kites")
+    assert not (tmp_path / "kites").exists()
