@@ -15,7 +15,7 @@ Run: python3 demos/farfield_surrogate.py
 
 import numpy as np
 
-from circscatter.dataio import ChannelLayout, assemble_channels, surrogate_farfield
+from circscatter.dataio import assemble_channels, surrogate_farfield
 from circscatter.geometry import BoundaryShape, ScatterConfig, ShapeClass
 
 config = ScatterConfig()
@@ -66,10 +66,9 @@ print()
 
 # --- 3. from complex fields to a training row --------------------------
 
-layout = ChannelLayout.standard(2, (0.0,))
 shape = BoundaryShape(ShapeClass.PEANUT, [0.10, 0.06], [0.05, -0.02], 2.0)
 fields = {0.0: surrogate_farfield(shape, config, 0.0)}
-row = assemble_channels(fields, layout, config.t0)
-print(f"standard c0=2 layout: {layout.channels}")
+row = assemble_channels(fields, config)
+print("c0=2 layout: Re E, Im E at phi=0")
 print(f"feature row length {row.shape[0]} = T0 * C0 = {config.t0} * 2")
 print(f"first five entries: {np.array2string(row[:5], precision=5)}")

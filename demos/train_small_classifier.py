@@ -8,8 +8,6 @@ matrix.  Takes well under a minute on one CPU core.
 Run: python3 demos/train_small_classifier.py
 """
 
-import numpy as np
-
 from circscatter import dataio, pipeline, training
 from circscatter.nncore.network import preset_spec
 
@@ -24,19 +22,19 @@ print(f"  {len(ds.features)} rows, layout T0={ds.t0} x C0={ds.c0}, "
 split = dataio.split_dataset(len(ds.features), SEED)
 scaler = dataio.Standardizer.fit(ds.features[split.train])
 x = scaler.apply(ds.features)
-labels = np.asarray(ds.targets)
 
 cfg = training.preset_train_config("ap1", seed=SEED, max_epochs=80,
                                    learning_rate=1e-3)
 print(f"training preset ap1 for up to {cfg.max_epochs} epochs "
       f"(lr {cfg.learning_rate}, batch {cfg.batch_size}) ...")
 spec = preset_spec("ap1")
-params, hist = training.train(spec, x, labels, split, cfg, classes=ds.classes)
+params, hist = training.train(spec, x, ds.targets, split, cfg, classes=ds.classes)
 print(f"  stopped after epoch {hist.stopped_epoch}, "
       f"best validation loss at epoch {hist.best_epoch}")
 
-rep = training.evaluate_classification(spec, params, x[split.test],
-                                       labels[split.test], ds.classes)
+model = pipeline.TrainedModel(spec, params, scaler, None, preset="ap1", seed=SEED,
+                              classes=ds.classes)
+rep = pipeline.evaluate_model(model, ds.subset(split.test))
 names = ["peanut", "kite", "star"]
 print(f"\ntest accuracy {rep.accuracy:.4f}")
 print("row-normalized confusion (rows = truth):")

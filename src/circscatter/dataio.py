@@ -31,7 +31,7 @@ import dataclasses
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,52 +52,6 @@ TEXT_MAGIC = "circscatter-v1"
 BINARY_MAGIC = b"CSC1"
 BINARY_HEADER_KEYS = ("n", "t0", "c0", "p", "task", "classes", "shape_ids")
 STD_FLOOR = 1e-12
-
-
-# ---------------------------------------------------------------- layouts
-
-
-@dataclass(frozen=True)
-class ChannelLayout:
-    """Ordered channel descriptors (field, part, phi) with field in
-    {"E", "H"} and part in {"re", "im"}.  Only the three standard
-    assemblies are valid: 2 channels (E at one phi), 4 channels (E and H
-    at one phi), 8 channels (E and H at phi=0 then phi=pi)."""
-
-    channels: tuple[tuple[str, str, float], ...]
-
-    def __post_init__(self):
-        phis = []
-        for p in self.channels:
-            if p[2] not in phis:
-                phis.append(p[2])
-        if self.channels != ChannelLayout._standard_tuple(len(self.channels), tuple(phis)):
-            raise LayoutError(f"non-standard channel layout {self.channels!r}")
-
-    def __len__(self):
-        return len(self.channels)
-
-    @staticmethod
-    def _standard_tuple(c0, phis):
-        if c0 == 2 and len(phis) == 1:
-            p = phis[0]
-            return (("E", "re", p), ("E", "im", p))
-        if c0 == 4 and len(phis) == 1:
-            p = phis[0]
-            return (("E", "re", p), ("E", "im", p), ("H", "re", p), ("H", "im", p))
-        if c0 == 8 and len(phis) == 2:
-            return tuple(
-                (f, part, p) for p in phis for f in ("E", "H") for part in ("re", "im")
-            )
-        return None
-
-    @classmethod
-    def standard(cls, c0: int, phis) -> "ChannelLayout":
-        phis = tuple(float(p) for p in phis)
-        channels = cls._standard_tuple(c0, phis)
-        if channels is None:
-            raise LayoutError(f"no standard layout for c0={c0}, phis={phis}")
-        return cls(channels)
 
 
 @functools.lru_cache(maxsize=None)
@@ -147,29 +101,31 @@ def surrogate_farfield(shape: BoundaryShape, config: ScatterConfig, phi: float):
     return e, h
 
 
-def assemble_channels(fields: dict, layout: ChannelLayout, t0: int) -> np.ndarray:
-    """Flatten far-field pairs into the channel-major feature vector.
+def assemble_channels(fields: dict, config: ScatterConfig) -> np.ndarray:
+    """Flatten far-field pairs into the channel-major feature vector: for
+    each phi of ``config.phis`` in order, Re E and Im E, then Re H and
+    Im H when c0 > 2.
 
     ``fields`` maps phi -> (e, h) complex arrays of length t0.
     """
     parts = []
-    for fld, part, phi in layout.channels:
+    for phi in config.phis:
         if phi not in fields:
-            raise LayoutError(f"layout needs phi={phi} but fields only has {sorted(fields)}")
+            raise LayoutError(f"config needs phi={phi} but fields only has {sorted(fields)}")
         e, h = fields[phi]
-        arr = e if fld == "E" else h
-        if arr.shape != (t0,):
-            raise LayoutError(f"field array for phi={phi} has shape {arr.shape}, want ({t0},)")
-        parts.append(arr.real if part == "re" else arr.imag)
+        for arr in (e, h) if config.c0 > 2 else (e,):
+            if arr.shape != (config.t0,):
+                raise LayoutError(f"field array for phi={phi} has shape {arr.shape}, "
+                                  f"want ({config.t0},)")
+            parts += [arr.real, arr.imag]
     return np.concatenate(parts).astype(np.float64)
 
 
-def feature_row(shape: BoundaryShape, config: ScatterConfig,
-                layout: ChannelLayout) -> np.ndarray:
+def feature_row(shape: BoundaryShape, config: ScatterConfig) -> np.ndarray:
     """One obstacle's feature vector: the surrogate at every incidence of
-    ``config``, flattened by ``layout``."""
+    ``config``, flattened channel-major."""
     fields = {phi: surrogate_farfield(shape, config, phi) for phi in config.phis}
-    return assemble_channels(fields, layout, config.t0)
+    return assemble_channels(fields, config)
 
 
 def reshape_to_tensor(features: np.ndarray, t0: int, c0: int) -> np.ndarray:
@@ -219,6 +175,8 @@ class Dataset:
             raise ValidationError(f"t0 and c0 must be >= 1, got t0={self.t0}, c0={self.c0}")
         if self.features.ndim != 2 or self.features.shape[1] != self.t0 * self.c0:
             raise ValidationError("features must be (n, t0*c0)")
+        if len(self.features) == 0:
+            raise ValidationError("a dataset needs at least one row")
         if len(self.shape_ids) != len(self.features):
             raise ValidationError("one shape_id per row required")
         if self.task == "class":
@@ -282,7 +240,6 @@ def generate_dataset(class_tags, n: int, config: ScatterConfig, seed: int,
             raise ValidationError(f"fixed impedance {fixed} outside [{lo}, {hi}]")
     task = "class" if len(tags) > 1 else "reg"
     include_imp = fixed is None
-    layout = ChannelLayout.standard(config.c0, config.phis)
 
     children = np.random.SeedSequence(seed).spawn(n)
     features = np.empty((n, config.t0 * config.c0), dtype=np.float64)
@@ -297,7 +254,7 @@ def generate_dataset(class_tags, n: int, config: ScatterConfig, seed: int,
         tag = tags[i % len(tags)]
         rng = np.random.default_rng(children[i])
         shape = sample_shape(tag, rng, config, fixed_impedance=fixed)
-        features[i] = feature_row(shape, config, layout)
+        features[i] = feature_row(shape, config)
         if task == "class":
             targets[i] = int(tag)
         else:

@@ -9,7 +9,6 @@ and are sampled on the uniform grid tau_k = 2*pi*k/T.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -17,7 +16,6 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import DegenerateShapeError, SamplingStuckError, ValidationError
-from .serial import dumps_compact
 
 STAR_Q = 5  # number of cosine/sine harmonics in the star family
 
@@ -431,23 +429,3 @@ def targets_to_shape(class_tag, values, fixed_impedance: float | None = None,
             f"expected {n + 2} or {n + 3} target values for {tag.name.lower()}, got {values.shape}"
         )
     return BoundaryShape(tag, values[:n], values[n:n + 2], impedance, check_ranges=check_ranges)
-
-
-def shape_to_json(shape: BoundaryShape) -> str:
-    """Serialize to a JSON object with 17-significant-digit doubles."""
-    return dumps_compact({
-        "class": int(shape.class_tag),
-        "coeffs": [float(c) for c in shape.coeffs],
-        "center": [float(c) for c in shape.center],
-        "impedance": float(shape.impedance),
-    })
-
-
-def shape_from_json(text: str, check_ranges: bool = True) -> BoundaryShape:
-    obj = json.loads(text)
-    try:
-        return BoundaryShape(obj["class"], np.asarray(obj["coeffs"], dtype=np.float64),
-                             np.asarray(obj["center"], dtype=np.float64),
-                             float(obj["impedance"]), check_ranges=check_ranges)
-    except KeyError as exc:
-        raise ValidationError(f"shape JSON missing key {exc}") from exc

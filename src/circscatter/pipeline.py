@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, geometry, training
-from .dataio import ChannelLayout, Dataset, Standardizer
+from .dataio import Dataset, Standardizer
 from .errors import (
     DegenerateShapeError,
     FormatError,
@@ -36,15 +36,7 @@ from .geometry import (
 )
 from .nncore import NetworkSpec, Parameters, load_model, preset_spec, save_model
 from .serial import atomic_write, format_double, read_json_object, write_json
-from .training import (
-    TrainHistory,
-    evaluate_classification,
-    evaluate_regression,
-    forward_eval,
-    noise_sweep,
-    preset_train_config,
-    train,
-)
+from .training import TrainHistory, forward_eval, preset_train_config, train
 
 SUPERSET_T0 = 128
 SUPERSET_C0 = 8
@@ -162,8 +154,7 @@ def generate_superset(class_tags, n: int, seed: int,
 def superset_features(shape: BoundaryShape,
                       config: ScatterConfig | None = None) -> np.ndarray:
     """One obstacle's feature row in the superset layout."""
-    cfg = superset_config(config)
-    return dataio.feature_row(shape, cfg, ChannelLayout.standard(cfg.c0, cfg.phis))
+    return dataio.feature_row(shape, superset_config(config))
 
 
 def regenerate_shape(ds: Dataset, i: int,
@@ -216,25 +207,35 @@ class TrainedModel:
     def c0(self) -> int:
         return self.spec.input_c
 
+    def _standardize(self, raw_features: np.ndarray, task: str) -> np.ndarray:
+        if self.spec.task != task:
+            raise ValidationError("not a classifier" if task == "class" else "not a regressor")
+        return self.feature_scaler.apply(np.atleast_2d(np.asarray(raw_features)))
+
+    def answers(self, x: np.ndarray) -> np.ndarray:
+        """The network's answers for standardized feature rows ``x``:
+        labels from ``classes`` for a classifier, parameters in original
+        units (through the target scaler) for a regressor.  Every label
+        or parameter prediction, and every score, goes through here."""
+        out = forward_eval(self.spec, self.params, x)
+        if self.spec.task == "class":
+            return self.labels(out)
+        out = out.astype(np.float64)
+        return out if self.target_scaler is None else self.target_scaler.invert(out)
+
+    def labels(self, probs: np.ndarray) -> np.ndarray:
+        """The class label of each row of class probabilities."""
+        return np.asarray(self.classes)[np.argmax(probs, axis=1)]
+
     def predict_probs(self, raw_features: np.ndarray) -> np.ndarray:
-        if self.spec.task != "class":
-            raise ValidationError("not a classifier")
-        x = self.feature_scaler.apply(np.atleast_2d(np.asarray(raw_features)))
-        return forward_eval(self.spec, self.params, x)
+        return forward_eval(self.spec, self.params, self._standardize(raw_features, "class"))
 
     def predict_labels(self, raw_features: np.ndarray) -> np.ndarray:
-        probs = self.predict_probs(raw_features)
-        return np.asarray(self.classes)[np.argmax(probs, axis=1)]
+        return self.answers(self._standardize(raw_features, "class"))
 
     def predict_params(self, raw_features: np.ndarray) -> np.ndarray:
         """Regression outputs in original (unstandardized) units."""
-        if self.spec.task != "reg":
-            raise ValidationError("not a regressor")
-        x = self.feature_scaler.apply(np.atleast_2d(np.asarray(raw_features)))
-        out = forward_eval(self.spec, self.params, x).astype(np.float64)
-        if self.target_scaler is not None:
-            out = self.target_scaler.invert(out)
-        return out
+        return self.answers(self._standardize(raw_features, "reg"))
 
     def meta_dict(self) -> dict:
         phis = [0.0, math.pi] if self.c0 == 8 else [0.0]
@@ -365,28 +366,6 @@ class InverseSolution:
     provenance: dict
 
 
-def _features_map(features) -> dict:
-    if isinstance(features, np.ndarray):
-        if features.ndim != 1:
-            raise LayoutError("infer takes one sample; pass a 1-d feature row")
-        if features.shape[0] != SUPERSET_T0 * SUPERSET_C0:
-            raise LayoutError(
-                "a bare array must be a superset row of length "
-                f"{SUPERSET_T0 * SUPERSET_C0}; otherwise pass a {{(t0, c0): row}} map")
-        return {(SUPERSET_T0, SUPERSET_C0): features}
-    return {(int(k[0]), int(k[1])): np.asarray(v) for k, v in dict(features).items()}
-
-
-def _layout_row(feats: dict, t0: int, c0: int, who: str) -> np.ndarray:
-    key = (t0, c0)
-    if key in feats:
-        return feats[key]
-    sup = feats.get((SUPERSET_T0, SUPERSET_C0))
-    if sup is not None:
-        return derive_features(sup, t0, c0)
-    raise LayoutError(f"no features in layout (t0={t0}, c0={c0}) for the {who}")
-
-
 def shape_in_ranges(shape: BoundaryShape) -> bool:
     """Whether every parameter falls inside the training sampling box."""
 
@@ -413,29 +392,31 @@ def infer(registry: ModelRegistry, features,
           config: ScatterConfig | None = None) -> InverseSolution:
     """Classify, route to that class's regressor, assemble the shape.
 
-    ``features``: either one superset-layout row or a mapping
-    {(t0, c0): row} covering the layouts the routed models need.  The
-    regressed parameters are reported raw (no clamping into the sampling
-    ranges); range and admissibility diagnostics ride along instead.
+    ``features`` is one superset-layout row (see ``superset_config``);
+    the classifier and the routed regressor each read their own layout
+    from it through ``derive_features``.  The regressed parameters are
+    reported raw (no clamping into the sampling ranges); range and
+    admissibility diagnostics ride along instead.
     """
     if registry.classifier is None:
         raise ValidationError("registry has no classifier")
-    feats = _features_map(features)
+    row = np.asarray(features)
+    if row.shape != (SUPERSET_T0 * SUPERSET_C0,):
+        raise LayoutError("infer takes one superset row of length "
+                          f"{SUPERSET_T0 * SUPERSET_C0}, got shape {row.shape}")
     clf = registry.classifier
-    x = _layout_row(feats, clf.t0, clf.c0, "classifier")
-    probs = clf.predict_probs(x)[0]
-    tag = int(clf.classes[int(np.argmax(probs))])
+    probs = clf.predict_probs(derive_features(row, clf.t0, clf.c0))
+    tag = int(clf.labels(probs)[0])
 
     reg = registry.regressors.get(tag)
     if reg is None:
         raise LayoutError(f"no regressor for predicted class {ShapeClass(tag).name}")
-    xr = _layout_row(feats, reg.t0, reg.c0, f"{_TAG_TO_NAME[tag]} regressor")
-    values = reg.predict_params(xr)[0]
+    values = reg.predict_params(derive_features(row, reg.t0, reg.c0))[0]
     shape = targets_to_shape(tag, values, fixed_impedance=reg.fixed_impedance,
                              check_ranges=False)
     diag = validate_shape(shape, config or ScatterConfig())
     return InverseSolution(
-        class_probs=probs,
+        class_probs=probs[0],
         classes=clf.classes,
         predicted_class=tag,
         shape=shape,
@@ -582,7 +563,7 @@ def misclassification_report(registry: ModelRegistry, ds: Dataset,
     clf = registry.classifier
     _check_fits(ds, clf.spec, clf.classes, "the classifier")
     probs = clf.predict_probs(ds.features)
-    pred = np.asarray(clf.classes)[np.argmax(probs, axis=1)]
+    pred = clf.labels(probs)
     true = np.asarray(ds.targets)
     rep = training.classification_metrics(pred, true, ds.classes)
 
@@ -785,25 +766,43 @@ def run_experiment(suite: str, out_dir=None, scale: float = 1.0, seed: int = 0,
 # ------------------------------------------------ standalone model tools
 
 
+def _score(model: TrainedModel, x: np.ndarray, targets: np.ndarray):
+    """Metrics of the model's answers for standardized rows ``x``."""
+    if model.spec.task == "class":
+        return training.classification_metrics(model.answers(x), targets, model.classes)
+    return training.regression_metrics(model.answers(x), targets)
+
+
 def evaluate_model(model: TrainedModel, ds: Dataset):
     """Clean metrics of a trained model over a whole dataset."""
     _check_fits(ds, model.spec, model.classes or (model.class_tag,), "the model")
-    x = model.feature_scaler.apply(ds.features)
-    if ds.task == "class":
-        return evaluate_classification(model.spec, model.params, x, ds.targets,
-                                       model.classes)
-    return evaluate_regression(model.spec, model.params, x, ds.targets,
-                               model.target_scaler)
+    return _score(model, model.feature_scaler.apply(ds.features), ds.targets)
 
 
 def sweep_model(model: TrainedModel, ds: Dataset, levels=DEFAULT_NOISE_LEVELS,
                 trials: int = 5, seed: int = 0) -> list:
-    """Noise sweep of a trained model over a whole dataset."""
+    """Noise sweep of a trained model over a whole dataset: metrics under
+    additive noise on the standardized features at each level, averaged
+    over ``trials`` draws.  Level 0 reproduces ``evaluate_model``.
+    Returns one dict per level."""
     _check_fits(ds, model.spec, model.classes or (model.class_tag,), "the model")
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     x = model.feature_scaler.apply(ds.features)
-    return noise_sweep(model.spec, model.params, x, ds.targets,
-                       [float(v) for v in levels], seed=seed, trials=trials,
-                       classes=model.classes, target_scaler=model.target_scaler)
+    rng = np.random.default_rng(seed)
+    results = []
+    for level in (float(v) for v in levels):
+        reps = [_score(model, dataio.add_noise(x, level, rng), ds.targets)
+                for _ in range(trials)]
+        if ds.task == "class":
+            results.append({"level": level,
+                            "accuracy": float(np.mean([r.accuracy for r in reps]))})
+        else:
+            defined = [r.r2 for r in reps if r.r2 is not None]  # tiny sets may have no R^2
+            results.append({"level": level,
+                            "r2": float(np.mean(defined)) if defined else None,
+                            "rmse": float(np.mean([r.rmse for r in reps]))})
+    return results
 
 
 def reconstruct_samples(model: TrainedModel, ds: Dataset, out_dir, seed: int = 0,

@@ -1,10 +1,9 @@
-"""Deterministic text encoding of doubles and small JSON documents, the
-one reader of JSON-object files, and the atomic file write that every
+"""Deterministic text encoding of doubles, the one writer and the one
+reader of JSON-object files, and the atomic file write that every
 artifact goes through.
 
-Doubles are written with 17 significant digits, which round-trips every
-finite IEEE-754 binary64 value exactly.  The stock json encoder offers
-no hook for float formatting, hence the tiny recursive dumper here.
+Doubles in CSV and dataset text are written with 17 significant digits,
+which round-trips every finite IEEE-754 binary64 value exactly.
 """
 
 from __future__ import annotations
@@ -23,61 +22,6 @@ def format_double(x: float) -> str:
     if not math.isfinite(x):
         raise FormatError(f"cannot serialize non-finite value {x!r}")
     return format(x, ".17g")
-
-
-def dumps_compact(obj) -> str:
-    """JSON text with .17g doubles, insertion-ordered keys, no whitespace frills."""
-    out: list[str] = []
-    _dump(obj, out)
-    return "".join(out)
-
-
-def _dump(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_double(obj))
-    elif isinstance(obj, str):
-        out.append(_escape(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(", ")
-            _dump(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            if not isinstance(key, str):
-                raise FormatError(f"JSON keys must be strings, got {type(key).__name__}")
-            out.append(_escape(key))
-            out.append(": ")
-            _dump(value, out)
-        out.append("}")
-    else:
-        raise FormatError(f"cannot serialize {type(obj).__name__}")
-
-
-def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch in ('"', "\\"):
-            out.append("\\" + ch)
-        elif ch < " ":
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
 
 
 def read_json_object(path) -> dict:

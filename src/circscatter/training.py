@@ -372,22 +372,6 @@ def regression_metrics(preds: np.ndarray, targets: np.ndarray) -> RegressionRepo
     return RegressionReport(r2, rmse, per_r2, per_rmse)
 
 
-def evaluate_classification(spec, params, features, labels, classes) -> ClassificationReport:
-    probs = forward_eval(spec, params, features)
-    pred = np.asarray(classes)[probs.argmax(axis=1)]
-    return classification_metrics(pred, labels, classes)
-
-
-def evaluate_regression(spec, params, features, targets,
-                        target_scaler: dataio.Standardizer | None = None) -> RegressionReport:
-    """Predictions are mapped back through ``target_scaler`` (when given)
-    so metrics are in original units."""
-    preds = forward_eval(spec, params, features).astype(np.float64)
-    if target_scaler is not None:
-        preds = target_scaler.invert(preds)
-    return regression_metrics(preds, np.asarray(targets, dtype=np.float64))
-
-
 # ---------------------------------------------------------------- gradcheck
 
 
@@ -488,38 +472,3 @@ def grad_check_all(seed: int = 0, h: float = 1e-6,
         "classification": grad_check(_gradcheck_class_spec(), seed=seed, h=h,
                                      tolerance=tolerance),
     }
-
-
-# ---------------------------------------------------------------- noise sweep
-
-
-def noise_sweep(spec, params, features, targets, levels, seed: int = 0,
-                trials: int = 5, classes=None,
-                target_scaler: dataio.Standardizer | None = None) -> list:
-    """Evaluate under additive feature noise at each level, averaged over
-    ``trials`` draws.  Level 0 reproduces the clean evaluation exactly.
-    Returns one dict per level."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    features = np.asarray(features, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    results = []
-    for level in levels:
-        accs, r2s, rmses = [], [], []
-        for _ in range(trials):
-            noisy = dataio.add_noise(features, float(level), rng)
-            if spec.task == "class":
-                rep = evaluate_classification(spec, params, noisy, targets, classes)
-                accs.append(rep.accuracy)
-            else:
-                rep = evaluate_regression(spec, params, noisy, targets, target_scaler)
-                r2s.append(rep.r2)
-                rmses.append(rep.rmse)
-        if spec.task == "class":
-            results.append({"level": float(level), "accuracy": float(np.mean(accs))})
-        else:
-            defined = [r for r in r2s if r is not None]  # tiny sets may have no R^2
-            results.append({"level": float(level),
-                            "r2": float(np.mean(defined)) if defined else None,
-                            "rmse": float(np.mean(rmses))})
-    return results

@@ -190,9 +190,12 @@ def test_evaluate_bad_model_spec_exit_code(trained_run, tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("header", [b"[1, 2]", b'{"t0": 32}'])
+@pytest.mark.parametrize("header", [
+    b"[1, 2]", b'{"t0": 32}',
+    b'{"n": 0, "t0": 32, "c0": 2, "p": 5, "task": "reg", "classes": [1], "shape_ids": []}',
+])
 def test_evaluate_bad_binary_header_exit_code(trained_run, tmp_path, header):
-    # a non-object header, or one missing n/c0/p/task, exits 4
+    # a non-object header, one missing n/c0/p/task, or n = 0 rows exits 4
     out, _ = trained_run
     bad = tmp_path / "bad.csc"
     bad.write_bytes(dataio.BINARY_MAGIC + np.array(len(header), dtype="<u4").tobytes()

@@ -10,7 +10,6 @@ from scipy.special import j0, j1
 
 from circscatter import dataio, errors, pipeline
 from circscatter.dataio import (
-    ChannelLayout,
     Dataset,
     Standardizer,
     add_noise,
@@ -159,33 +158,25 @@ def test_surrogate_rejects_foreign_phi():
 # ---------------------------------------------------------------- layouts
 
 
-def test_standard_layouts():
-    two = ChannelLayout.standard(2, (0.0,))
-    assert two.channels == (("E", "re", 0.0), ("E", "im", 0.0))
-    four = ChannelLayout.standard(4, (0.0,))
-    assert len(four) == 4 and four.channels[2] == ("H", "re", 0.0)
-    eight = ChannelLayout.standard(8, (0.0, math.pi))
-    assert len(eight) == 8
-    assert eight.channels[:2] == (("E", "re", 0.0), ("E", "im", 0.0))
-    assert eight.channels[4] == ("E", "re", math.pi)
-    with pytest.raises(errors.LayoutError):
-        ChannelLayout.standard(8, (0.0,))
-    with pytest.raises(errors.LayoutError):
-        ChannelLayout((("H", "re", 0.0), ("E", "im", 0.0)))
-
-
 def test_assemble_channels_channel_major():
     cfg = ScatterConfig(c0=4)
     shape = circle(0.3, impedance=2.0)
     e, h = surrogate_farfield(shape, cfg, 0.0)
-    feats = assemble_channels({0.0: (e, h)}, ChannelLayout.standard(4, (0.0,)), cfg.t0)
+    feats = assemble_channels({0.0: (e, h)}, cfg)
     t0 = cfg.t0
     npt.assert_array_equal(feats[0 * t0: 1 * t0], e.real)
     npt.assert_array_equal(feats[1 * t0: 2 * t0], e.imag)
     npt.assert_array_equal(feats[2 * t0: 3 * t0], h.real)
     npt.assert_array_equal(feats[3 * t0: 4 * t0], h.imag)
-    with pytest.raises(errors.LayoutError):
-        assemble_channels({0.0: (e, h)}, ChannelLayout.standard(8, (0.0, math.pi)), t0)
+    # c0 = 2 keeps E alone; c0 = 8 repeats the four channels per incidence
+    npt.assert_array_equal(assemble_channels({0.0: (e, h)}, ScatterConfig()), feats[:2 * t0])
+    both = ScatterConfig(c0=8, phis=(0.0, math.pi))
+    e2, h2 = surrogate_farfield(shape, both, math.pi)
+    eight = assemble_channels({0.0: (e, h), math.pi: (e2, h2)}, both)
+    npt.assert_array_equal(eight[:4 * t0], feats)
+    npt.assert_array_equal(eight[4 * t0:], np.concatenate([e2.real, e2.imag, h2.real, h2.imag]))
+    with pytest.raises(errors.LayoutError, match="phi="):
+        assemble_channels({0.0: (e, h)}, both)
 
 
 def test_reshape_roundtrip_and_indexing():
@@ -520,6 +511,11 @@ def test_binary_header_errors(tmp_path):
     zero = json.dumps({**header, "t0": 0}).encode("ascii")
     bad.write_bytes(b"CSC1" + np.array(len(zero), dtype="<u4").tobytes() + zero + targets)
     with pytest.raises(errors.FormatError, match="bad binary header: t0 and c0 must be >= 1"):
+        read_dataset_binary(bad)
+    # n = 0 with no payload: a header alone is no dataset
+    empty = json.dumps({**header, "n": 0, "shape_ids": []}).encode("ascii")
+    bad.write_bytes(b"CSC1" + np.array(len(empty), dtype="<u4").tobytes() + empty)
+    with pytest.raises(errors.FormatError, match="at least one row"):
         read_dataset_binary(bad)
 
 

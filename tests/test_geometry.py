@@ -16,8 +16,6 @@ from circscatter.geometry import (
     eval_curve,
     polygon_is_simple,
     sample_shape,
-    shape_from_json,
-    shape_to_json,
     shape_to_targets,
     targets_to_shape,
     validate_shape,
@@ -63,6 +61,8 @@ def test_config_validation():
         ScatterConfig(t0=33)
     with pytest.raises(errors.ValidationError):
         ScatterConfig(c0=8, phis=(0.0,))
+    with pytest.raises(errors.ValidationError, match="single phi"):
+        ScatterConfig(c0=4, phis=(0.0, math.pi))
     with pytest.raises(errors.ValidationError):
         ScatterConfig(phis=(0.5,))
     with pytest.raises(errors.ValidationError):
@@ -490,26 +490,3 @@ def test_target_vector_errors():
         targets_to_shape(ShapeClass.PEANUT, np.zeros(4))  # no impedance anywhere
     with pytest.raises(errors.ValidationError):
         targets_to_shape(ShapeClass.PEANUT, np.zeros(9), fixed_impedance=1.0)
-
-
-# ---------------------------------------------------------------- json
-
-
-def test_shape_json_roundtrip_bitexact():
-    rng = np.random.default_rng(33)
-    cfg = ScatterConfig()
-    for tag in ShapeClass:
-        shape = sample_shape(tag, rng, cfg)
-        text = shape_to_json(shape)
-        back = shape_from_json(text)
-        npt.assert_array_equal(back.coeffs, shape.coeffs)
-        npt.assert_array_equal(back.center, shape.center)
-        assert back.impedance == shape.impedance
-        assert back.class_tag == shape.class_tag
-        # serialization is stable under a round trip
-        assert shape_to_json(back) == text
-
-
-def test_shape_json_missing_key():
-    with pytest.raises(errors.ValidationError):
-        shape_from_json('{"class": 1, "coeffs": [0.1, 0.1], "center": [0, 0]}')

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from circscatter import dataio, pipeline
+from circscatter import dataio, pipeline, training
 from circscatter.dataio import Dataset, Standardizer
 from circscatter.errors import FormatError, LayoutError, ValidationError
 from circscatter.geometry import (
@@ -390,27 +390,27 @@ def test_infer_routes_by_argmax():
 
 def test_infer_feature_map_and_missing_layouts():
     shape = sample_shape(1, np.random.default_rng(2), ScatterConfig())
-    row32 = derive_features(superset_features(shape), 32, 2)
+    row = superset_features(shape)
     registry = make_registry(bias=(5.0, 0.0, 0.0))  # always peanut
-    sol = infer(registry, {(32, 2): row32})  # all models are (32, 2): enough
+    sol = infer(registry, row)
     assert sol.predicted_class == 1
     assert sol.in_sampling_ranges  # scaler means sit inside sampling ranges
     assert sol.diagnostics.ok
 
     registry.regressors[1] = make_regressor(1, np.array([5.0, 5.0, 0, 0, 1.0]))
-    sol = infer(registry, {(32, 2): row32})
+    sol = infer(registry, row)
     assert not sol.in_sampling_ranges  # raw out-of-range output, not clamped
     npt.assert_allclose(sol.shape.coeffs, [5.0, 5.0], atol=1e-12)
 
-    with pytest.raises(LayoutError, match="classifier"):
-        infer(registry, {(128, 4): np.zeros(512)})
     del registry.regressors[1]
     with pytest.raises(LayoutError, match="regressor"):
-        infer(registry, superset_features(shape))
-    with pytest.raises(LayoutError):
-        infer(registry, np.zeros(7))
+        infer(registry, row)
+    # one superset row only: a sub-layout row, a short row or a batch is refused
+    for bad in (derive_features(row, 32, 2), np.zeros(7), row[None, :]):
+        with pytest.raises(LayoutError, match="superset row"):
+            infer(registry, bad)
     with pytest.raises(ValidationError):
-        infer(ModelRegistry(), superset_features(shape))
+        infer(ModelRegistry(), row)
 
 
 def test_infer_star_uses_wide_layout():
@@ -627,9 +627,29 @@ def test_evaluate_and_sweep_model(tiny_peanut_model):
     ds = suite_dataset("peanut", scale=10 / 30000, seed=21)
     rep = evaluate_model(tiny_peanut_model, ds)
     assert math.isfinite(rep.rmse)
+    # scored in original units, through the same answers as predict_params
+    ref = training.regression_metrics(tiny_peanut_model.predict_params(ds.features),
+                                      ds.targets)
+    assert rep.to_json_dict() == ref.to_json_dict()
     table = sweep_model(tiny_peanut_model, ds, levels=(0.0, 0.02), trials=2, seed=1)
     assert [r["level"] for r in table] == [0.0, 0.02]
-    assert table[0]["rmse"] == pytest.approx(rep.rmse, abs=1e-12)
+    assert (table[0]["r2"], table[0]["rmse"]) == (rep.r2, rep.rmse)
+    assert table[1]["rmse"] != rep.rmse
+    assert sweep_model(tiny_peanut_model, ds, levels=(0.0, 0.02), trials=2, seed=1) == table
+    with pytest.raises(ValidationError, match="trials"):
+        sweep_model(tiny_peanut_model, ds, trials=0)
+
+    # a classifier whose answers depend on its input
+    cls_ds = suite_dataset("classification", scale=30 / 90000, seed=3)
+    spec = class_spec()
+    clf = TrainedModel(spec, init_parameters(spec, 1), Standardizer.fit(cls_ds.features),
+                       None, preset="ap1", seed=1, classes=(1, 2, 3))
+    labels = clf.predict_labels(cls_ds.features)
+    assert len(set(labels.tolist())) > 1
+    cls_rep = evaluate_model(clf, cls_ds)
+    assert cls_rep.accuracy == float(np.mean(labels == cls_ds.targets))
+    cls_table = sweep_model(clf, cls_ds, levels=(0.0, 0.5), trials=2, seed=0)
+    assert cls_table[0] == {"level": 0.0, "accuracy": cls_rep.accuracy}
 
     kites = suite_dataset("kite", scale=10 / 30000, seed=2)
     with pytest.raises(ValidationError):

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from circscatter import errors, training
-from circscatter.dataio import DatasetSplit, Standardizer
+from circscatter.dataio import DatasetSplit
 from circscatter.nncore import (
     Conv,
     Dense,
@@ -25,14 +25,11 @@ from circscatter.training import (
     clip_gradients,
     cross_entropy,
     cross_entropy_grad,
-    evaluate_classification,
-    evaluate_regression,
     forward_eval,
     grad_check,
     init_adam,
     mse,
     mse_grad,
-    noise_sweep,
     one_hot,
     preset_train_config,
     regression_metrics,
@@ -320,19 +317,6 @@ def test_regression_constant_column_r2_undefined():
     assert rep.per_param_r2[1] is not None
 
 
-def test_evaluate_regression_inverts_scaler():
-    rng = np.random.default_rng(6)
-    spec = lin_spec(d_out=2)
-    params = init_parameters(spec, 0)
-    feats = rng.standard_normal((30, 8))
-    raw_targets = rng.standard_normal((30, 2)) * 7 + 3
-    scaler = Standardizer.fit(raw_targets)
-    rep = evaluate_regression(spec, params, feats, raw_targets, scaler)
-    preds = scaler.invert(forward_eval(spec, params, feats).astype(np.float64))
-    ref = regression_metrics(preds, raw_targets)
-    assert rep.rmse == ref.rmse and rep.r2 == ref.r2
-
-
 def test_forward_eval_chunking_consistent():
     spec = lin_spec(d_out=2)
     params = init_parameters(spec, 1)
@@ -364,33 +348,3 @@ def test_gradcheck_detects_corrupted_backward(monkeypatch):
     monkeypatch.setattr(layers, "swish_backward", lambda dy, c: real(dy, c) * 1.01)
     rep = grad_check(seed=0)
     assert not rep.passed
-
-
-# ---------------------------------------------------------------- noise sweep
-
-
-def test_noise_sweep_zero_level_matches_clean():
-    rng = np.random.default_rng(8)
-    spec = lin_spec(d_out=2)
-    params = init_parameters(spec, 2)
-    feats = rng.standard_normal((40, 8))
-    targets = rng.standard_normal((40, 2))
-    res = noise_sweep(spec, params, feats, targets, levels=[0.0, 0.05],
-                      seed=3, trials=2)
-    clean = evaluate_regression(spec, params, feats, targets)
-    assert res[0]["r2"] == pytest.approx(clean.r2, abs=1e-15)
-    assert res[0]["rmse"] == pytest.approx(clean.rmse, abs=1e-15)
-    # determinism
-    res2 = noise_sweep(spec, params, feats, targets, levels=[0.0, 0.05],
-                       seed=3, trials=2)
-    assert res == res2
-
-
-def test_noise_sweep_classification():
-    spec = NetworkSpec(4, 2, (Flatten(), Output(2, "softmax")), "class")
-    params = init_parameters(spec, 0)
-    feats = np.random.default_rng(9).standard_normal((30, 8))
-    labels = np.array([1, 2] * 15)
-    res = noise_sweep(spec, params, feats, labels, levels=[0.0], seed=0,
-                      trials=1, classes=(1, 2))
-    assert 0.0 <= res[0]["accuracy"] <= 1.0
