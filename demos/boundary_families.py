@@ -7,9 +7,8 @@ be plotted with any tool.  Run from the repository root:
     python3 demos/boundary_families.py
 """
 
-import numpy as np
-
 from circscatter.geometry import (
+    MAX_POINT_NORM,
     BoundaryShape,
     ScatterConfig,
     ShapeClass,
@@ -19,13 +18,14 @@ from circscatter.geometry import (
     sample_shape,
     validate_shape,
 )
+import numpy as np  # after circscatter, which applies CIRCSCATTER_THREADS
 
 config = ScatterConfig()
 rng = np.random.default_rng(42)
 tau = boundary_grid(256)
 
 print(f"setup: omega={config.omega}, theta={config.theta:.4f} "
-      f"-> kappa0={config.kappa0:.4f}, outer radius {config.outer_radius}")
+      f"-> kappa0={config.kappa0:.4f}, boundaries inside radius {MAX_POINT_NORM}")
 print()
 
 # --- one section per family -------------------------------------------

@@ -9,11 +9,10 @@ artifacts land in ./demo_registry/.
 Run: python3 demos/end_to_end_inverse.py
 """
 
-import numpy as np
-
 from circscatter import pipeline
 from circscatter.errors import LayoutError
 from circscatter.geometry import ScatterConfig, ShapeClass, sample_shape
+import numpy as np  # after circscatter, which applies CIRCSCATTER_THREADS
 
 OUT = "demo_registry"
 SEED = 0
@@ -37,14 +36,13 @@ print(f"loaded registry: classifier + regressors for "
 
 # --- invert unseen obstacles -------------------------------------------
 
-config = ScatterConfig()
 rng = np.random.default_rng(12345)
 print("\ninverting fresh far-field rows:")
 for tag in (ShapeClass.PEANUT, ShapeClass.KITE, ShapeClass.STAR):
-    truth = sample_shape(tag, rng, config)
-    row = pipeline.superset_features(truth, config)
+    truth = sample_shape(tag, rng, ScatterConfig())
+    row = pipeline.superset_features(truth)
     try:
-        sol = pipeline.infer(registry, row, config)
+        sol = pipeline.infer(registry, row)
     except LayoutError as exc:
         print(f"  {tag.name.lower():>7}: {exc}")
         continue

@@ -13,10 +13,9 @@ Three short experiments on the quadrature surrogate:
 Run: python3 demos/farfield_surrogate.py
 """
 
-import numpy as np
-
 from circscatter.dataio import assemble_channels, surrogate_farfield
 from circscatter.geometry import BoundaryShape, ScatterConfig, ShapeClass
+import numpy as np  # after circscatter, which applies CIRCSCATTER_THREADS
 
 config = ScatterConfig()
 print(f"kappa0 = {config.kappa0:.4f}, T0 = {config.t0} measurement angles")

@@ -1,17 +1,21 @@
 """Command-line entry points for reproducible runs.
 
-Every command reads an optional JSON config file and applies explicit
-flags on top (flags win).  Commands never touch their inputs; outputs,
-including an archived copy of the resolved configuration, land under the
-run's output directory.
+Each option is declared once, on its subcommand's parser: flag, type,
+default and choices.  An optional JSON config file supplies the
+subcommand's defaults, each value parsed the way its option parses a
+flag, so explicit flags still win.  Commands never touch their inputs;
+outputs, including an archived copy of the resolved configuration, land
+under the run's output directory.
 
 Exit codes: 0 success, 2 validation problem, 3 numeric failure
-(divergence, failed gradient check), 4 I/O or malformed file.
+(divergence, failed gradient check), 4 I/O or malformed file (a config
+value its option cannot parse included).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -37,7 +41,8 @@ EXIT_IO = 4
 # ------------------------------------------------------------- arg plumbing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The ``circscatter`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="circscatter",
         description="Inverse obstacle scattering with circular CNNs: "
@@ -45,27 +50,42 @@ def _build_parser() -> argparse.ArgumentParser:
                     "reconstruct boundaries, check gradients.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override it")
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--config", help="JSON config file whose keys are option "
+                                        "names (dest); flags override it")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="run seed (default 0)")
+        p.add_argument("--seed", type=int, default=0, help="run seed (default %(default)s)")
+        return p
 
-    p = sub.add_parser("generate", help="generate a suite dataset file")
-    common(p)
-    p.add_argument("--suite", choices=sorted(pipeline.SUITES))
-    p.add_argument("--scale", type=float, help="dataset scale in (0, 1]")
+    def suite_and_scale(p):
+        p.add_argument("--suite", choices=sorted(pipeline.SUITES))
+        p.add_argument("--scale", type=float, default=1.0, help="dataset scale in (0, 1]")
+
+    def noise(p):
+        p.add_argument("--noise-levels", dest="noise_levels",
+                       default=",".join(map(str, DEFAULT_NOISE_LEVELS)),
+                       help="comma-separated sweep levels (default %(default)s)")
+        p.add_argument("--trials", type=int, default=5,
+                       help="noise draws per level (default %(default)s)")
+
+    def model_and_data(p):
+        p.add_argument("--model", help="model prefix, e.g. runs/full/peanut")
+        p.add_argument("--data", help="dataset path")
+
+    p = command("generate", cmd_generate, "generate a suite dataset file")
+    suite_and_scale(p)
     p.add_argument("--fixed-lambda", type=float, dest="fixed_lambda",
                    help="override the impedance mode with a fixed value")
-    p.add_argument("--format", choices=("text", "binary"), dest="file_format",
-                   help="dataset container (default binary)")
+    p.add_argument("--format", choices=("text", "binary"), default="binary",
+                   dest="file_format", help="dataset container (default %(default)s)")
 
-    p = sub.add_parser("train", help="train a preset on a dataset (or generate one)")
-    common(p)
-    p.add_argument("--suite", choices=sorted(pipeline.SUITES))
+    p = command("train", cmd_train, "train a preset on a dataset (or generate one)")
+    suite_and_scale(p)
     p.add_argument("--preset", choices=sorted(PRESET_SUITE))
     p.add_argument("--data", help="dataset path; omitted, the suite dataset "
                                   "is generated at --scale")
-    p.add_argument("--scale", type=float)
     p.add_argument("--epochs", type=int, help="cap on training epochs")
     p.add_argument("--lr", type=float, help="learning rate override")
     p.add_argument("--batch", type=int, help="batch size override")
@@ -73,105 +93,95 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-delta", type=float, dest="min_delta",
                    help="early-stopping improvement threshold")
     p.add_argument("--clip", type=float, help="gradient clipping norm")
-    p.add_argument("--noise-levels", dest="noise_levels",
-                   help="comma-separated sweep levels for the report")
-    p.add_argument("--trials", type=int, help="noise draws per level (default 5)")
-    p.add_argument("--verbose", action="store_true", default=None)
+    noise(p)
+    p.add_argument("--verbose", action="store_true")
 
-    p = sub.add_parser("evaluate", help="clean metrics of a model on a dataset")
-    common(p)
-    p.add_argument("--model", help="model prefix, e.g. runs/full/peanut")
-    p.add_argument("--data")
+    p = command("evaluate", cmd_evaluate, "clean metrics of a model on a dataset")
+    model_and_data(p)
 
-    p = sub.add_parser("sweep", help="noise sweep of a model on a dataset")
-    common(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--noise-levels", dest="noise_levels")
-    p.add_argument("--trials", type=int)
+    p = command("sweep", cmd_sweep, "noise sweep of a model on a dataset")
+    model_and_data(p)
+    noise(p)
 
-    p = sub.add_parser("reconstruct", help="truth-vs-prediction curve files "
-                                           "for max/min/random test samples")
-    common(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--curve-points", type=int, dest="curve_points")
+    p = command("reconstruct", cmd_reconstruct, "truth-vs-prediction curve files "
+                                                "for max/min/random test samples")
+    model_and_data(p)
+    p.add_argument("--curve-points", type=int, default=256, dest="curve_points")
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    common(p)
-    p.add_argument("--tolerance", type=float)
+    p = command("gradcheck", cmd_gradcheck, "finite-difference gradient check")
+    p.add_argument("--tolerance", type=float, default=1e-4)
 
-    return parser
+    return parser, sub.choices
 
 
-class _Resolver:
-    """Flag > config-file > default, per key."""
+def _config_defaults(parser: argparse.ArgumentParser, path) -> dict:
+    """The JSON config file at ``path`` as defaults for ``parser``.
 
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self.args = args
-        self.config = config
+    Each value is read as the text its flag would carry and goes through
+    that option's type and choices; a switch takes true or false.  A
+    ``null`` counts as absent, and keys that name no option are ignored.
+    A value the option refuses is a FormatError naming file and key.
+    """
+    config = read_json_object(path)
+    defaults = {}
+    # argparse lists a parser's options only in the private ``_actions``,
+    # the list add_argument fills; reading it keeps each option's type
+    # and choices in its one add_argument call.
+    for action in parser._actions:
+        value = config.get(action.dest)
+        if value is None or action.dest in ("help", "config"):
+            continue
+        if action.nargs == 0:
+            ok = isinstance(value, bool)
+        else:
+            try:
+                value = (action.type or str)(str(value))
+                ok = action.choices is None or value in action.choices
+            except ValueError:
+                ok = False
+        if not ok:
+            raise FormatError(f"{path}: config key {action.dest!r}: "
+                              f"{json.dumps(config[action.dest])} is not a valid "
+                              f"{action.option_strings[0]} value")
+        defaults[action.dest] = value
+    return defaults
 
-    def get(self, key, default=None):
-        v = getattr(self.args, key, None)
-        if v is not None:
-            return v
-        return self.config.get(key, default)
 
-    def require(self, key, flag: str):
-        v = self.get(key)
-        if v is None:
-            raise ValidationError(f"missing required option {flag} "
-                                  f"(flag or config key {key!r})")
-        return v
+def _require(args: argparse.Namespace, key: str):
+    value = getattr(args, key)
+    if value is None:
+        raise ValidationError(f"missing required option --{key} "
+                              f"(flag or config key {key!r})")
+    return value
 
 
-def _parse_levels(value) -> list:
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
+def _parse_levels(text: str) -> list:
+    """Comma-separated noise levels; a config file's JSON list arrives as
+    its text, brackets included."""
+    body = text.strip().removeprefix("[").removesuffix("]")
     try:
-        return [float(tok) for tok in str(value).split(",") if tok.strip()]
+        return [float(tok) for tok in body.split(",") if tok.strip()]
     except ValueError:
-        raise ValidationError(f"bad noise levels {value!r}; "
+        raise ValidationError(f"bad noise levels {text!r}; "
                               "expected comma-separated numbers") from None
 
 
-def _archive(out_dir: Path, command: str, resolved: dict) -> None:
+def _archive(out, command: str, resolved: dict, reports: dict | None = None) -> None:
+    """Under ``out``, if given: write each ``{file name: payload}`` of
+    ``reports``, then the resolved options as ``<command>_config.json``."""
+    if out is None:
+        return
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name, payload in (reports or {}).items():
+        write_json(out_dir / name, payload)
     write_json(out_dir / f"{command}_config.json", {"command": command, **resolved})
 
 
-def _model_prefix(value: str):
-    """'runs/peanut' or 'runs/peanut.model' -> (directory, name)."""
-    p = Path(value)
-    if p.suffix == ".model":
-        p = p.with_suffix("")
-    return p.parent, p.name
-
-
-def _train_overrides(res: _Resolver) -> dict:
-    mapping = {
-        "epochs": "max_epochs",
-        "lr": "learning_rate",
-        "batch": "batch_size",
-        "patience": "patience",
-        "min_delta": "min_delta",
-        "clip": "clip_norm",
-    }
-    out = {}
-    for key, field in mapping.items():
-        v = res.get(key)
-        if v is not None:
-            out[field] = v
-    return out
-
-
-def _resolve_suite(res: _Resolver) -> str:
-    suite = res.get("suite")
-    preset = res.get("preset")
+def _resolve_suite(args: argparse.Namespace) -> str:
+    suite = args.suite
+    preset = getattr(args, "preset", None)
     if preset is not None:
-        if preset not in PRESET_SUITE:
-            raise ValidationError(f"unknown preset {preset!r}; "
-                                  f"choose from {sorted(PRESET_SUITE)}")
         implied = PRESET_SUITE[preset]
         if suite is not None and suite != implied:
             raise ValidationError(f"preset {preset} belongs to suite {implied}, "
@@ -179,36 +189,25 @@ def _resolve_suite(res: _Resolver) -> str:
         suite = implied
     if suite is None:
         raise ValidationError("missing --suite (or --preset)")
-    suite_spec(suite)
     return suite
 
 
 # ----------------------------------------------------------------- commands
 
 
-def cmd_generate(res: _Resolver) -> int:
-    suite = _resolve_suite(res)
-    out_dir = Path(res.require("out", "--out"))
-    scale = float(res.get("scale", 1.0))
-    seed = int(res.get("seed", 0))
-    fixed_lambda = res.get("fixed_lambda")
-    file_format = res.get("file_format", "binary")
-    if file_format not in ("text", "binary"):
-        raise ValidationError(f"unknown format {file_format!r}")
-
+def cmd_generate(args: argparse.Namespace) -> int:
+    suite = _resolve_suite(args)
+    out_dir = Path(_require(args, "out"))
     s = suite_spec(suite)
-    if fixed_lambda is None:
-        imp = "variable" if s.fixed_impedance is None else s.fixed_impedance
-    else:
-        imp = float(fixed_lambda)
-    ds = dataio.generate_dataset(s.class_tags, s.n_at_scale(scale), s.config(),
-                                 seed, impedance=imp)
+    imp = s.fixed_impedance if args.fixed_lambda is None else args.fixed_lambda
+    ds = dataio.generate_dataset(s.class_tags, s.n_at_scale(args.scale), s.config(),
+                                 args.seed, impedance="variable" if imp is None else imp)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{suite}.csc"
-    dataio.write_dataset(path, ds, binary=(file_format == "binary"))
+    dataio.write_dataset(path, ds, binary=(args.file_format == "binary"))
     _archive(out_dir, "generate", {
-        "suite": suite, "scale": scale, "seed": seed,
-        "fixed_lambda": fixed_lambda, "file_format": file_format,
+        "suite": suite, "scale": args.scale, "seed": args.seed,
+        "fixed_lambda": args.fixed_lambda, "file_format": args.file_format,
         "n": len(ds), "path": str(path),
     })
     print(f"wrote {len(ds)} samples (t0={ds.t0}, c0={ds.c0}, task={ds.task}) "
@@ -216,24 +215,22 @@ def cmd_generate(res: _Resolver) -> int:
     return EXIT_OK
 
 
-def cmd_train(res: _Resolver) -> int:
-    suite = _resolve_suite(res)
-    out_dir = Path(res.require("out", "--out"))
-    seed = int(res.get("seed", 0))
-    scale = float(res.get("scale", 1.0))
-    data = res.get("data")
-    overrides = _train_overrides(res)
-    levels = _parse_levels(res.get("noise_levels", DEFAULT_NOISE_LEVELS))
-    trials = int(res.get("trials", 5))
+def cmd_train(args: argparse.Namespace) -> int:
+    suite = _resolve_suite(args)
+    out_dir = Path(_require(args, "out"))
+    overrides = {field: getattr(args, key) for key, field in (
+        ("epochs", "max_epochs"), ("lr", "learning_rate"), ("batch", "batch_size"),
+        ("patience", "patience"), ("min_delta", "min_delta"), ("clip", "clip_norm"),
+    ) if getattr(args, key) is not None}
+    levels = _parse_levels(args.noise_levels)
 
     result = pipeline.run_experiment(
-        suite, out_dir=out_dir, scale=scale, seed=seed, data=data,
-        train_overrides=overrides, noise_levels=levels, noise_trials=trials,
-        verbose=bool(res.get("verbose", False)))
+        suite, out_dir=out_dir, scale=args.scale, seed=args.seed, data=args.data,
+        train_overrides=overrides, noise_levels=levels, noise_trials=args.trials,
+        verbose=args.verbose)
     _archive(out_dir, "train", {
-        "suite": suite, "seed": seed, "scale": scale,
-        "data": None if data is None else str(data),
-        "train_overrides": overrides, "noise_levels": levels, "trials": trials,
+        "suite": suite, "seed": args.seed, "scale": args.scale, "data": args.data,
+        "train_overrides": overrides, "noise_levels": levels, "trials": args.trials,
     })
     clean = result.clean
     if suite == "classification":
@@ -248,15 +245,18 @@ def cmd_train(res: _Resolver) -> int:
     return EXIT_OK
 
 
-def _load_model_and_data(res: _Resolver):
-    directory, name = _model_prefix(res.require("model", "--model"))
-    model = pipeline.TrainedModel.load(directory, name)
-    ds = dataio.read_dataset(res.require("data", "--data"))
-    return model, name, ds
+def _load_model_and_data(args: argparse.Namespace):
+    """The model named by --model ('runs/peanut' or 'runs/peanut.model'),
+    its name, and the --data dataset."""
+    prefix = Path(_require(args, "model"))
+    if prefix.suffix == ".model":
+        prefix = prefix.with_suffix("")
+    model = pipeline.TrainedModel.load(prefix.parent, prefix.name)
+    return model, prefix.name, dataio.read_dataset(_require(args, "data"))
 
 
-def cmd_evaluate(res: _Resolver) -> int:
-    model, name, ds = _load_model_and_data(res)
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    model, name, ds = _load_model_and_data(args)
     rep = pipeline.evaluate_model(model, ds)
     if ds.task == "class":
         print(f"accuracy {rep.accuracy:.4f}")
@@ -265,100 +265,67 @@ def cmd_evaluate(res: _Resolver) -> int:
     else:
         r2 = "n/a" if rep.r2 is None else f"{rep.r2:.6f}"
         print(f"R^2 {r2}, RMSE {rep.rmse:.6f}")
-    out = res.get("out")
-    if out is not None:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / f"{name}_eval.json", rep.to_json_dict())
-        _archive(out_dir, "evaluate", {
-            "model": str(res.get("model")), "data": str(res.get("data")),
-        })
+    _archive(args.out, "evaluate", {"model": args.model, "data": args.data},
+             {f"{name}_eval.json": rep.to_json_dict()})
     return EXIT_OK
 
 
-def cmd_sweep(res: _Resolver) -> int:
-    model, name, ds = _load_model_and_data(res)
-    levels = _parse_levels(res.get("noise_levels", DEFAULT_NOISE_LEVELS))
-    trials = int(res.get("trials", 5))
-    seed = int(res.get("seed", 0))
-    table = pipeline.sweep_model(model, ds, levels=levels, trials=trials,
-                                 seed=seed)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    model, name, ds = _load_model_and_data(args)
+    levels = _parse_levels(args.noise_levels)
+    table = pipeline.sweep_model(model, ds, levels=levels, trials=args.trials,
+                                 seed=args.seed)
     for row in table:
         cols = ", ".join(f"{k} {v:.6f}" if isinstance(v, float) else f"{k} {v}"
                          for k, v in row.items())
         print(cols)
-    out = res.get("out")
-    if out is not None:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / f"{name}_sweep.json", table)
-        _archive(out_dir, "sweep", {
-            "model": str(res.get("model")), "data": str(res.get("data")),
-            "noise_levels": levels, "trials": trials, "seed": seed,
-        })
+    _archive(args.out, "sweep", {
+        "model": args.model, "data": args.data, "noise_levels": levels,
+        "trials": args.trials, "seed": args.seed,
+    }, {f"{name}_sweep.json": table})
     return EXIT_OK
 
 
-def cmd_reconstruct(res: _Resolver) -> int:
-    model, _, ds = _load_model_and_data(res)
-    out_dir = Path(res.require("out", "--out"))
-    seed = int(res.get("seed", 0))
-    points = int(res.get("curve_points", 256))
-    files = pipeline.reconstruct_samples(model, ds, out_dir, seed=seed,
-                                         curve_points=points)
+def cmd_reconstruct(args: argparse.Namespace) -> int:
+    model, _, ds = _load_model_and_data(args)
+    out_dir = Path(_require(args, "out"))
+    files = pipeline.reconstruct_samples(model, ds, out_dir, seed=args.seed,
+                                         curve_points=args.curve_points)
     _archive(out_dir, "reconstruct", {
-        "model": str(res.get("model")), "data": str(res.get("data")),
-        "seed": seed, "curve_points": points,
+        "model": args.model, "data": args.data, "seed": args.seed,
+        "curve_points": args.curve_points,
     })
     for kind, path in sorted(files.items()):
         print(f"{kind}: {path}")
     return EXIT_OK
 
 
-def cmd_gradcheck(res: _Resolver) -> int:
-    seed = int(res.get("seed", 0))
-    tolerance = float(res.get("tolerance", 1e-4))
-    reports = training.grad_check_all(seed=seed, tolerance=tolerance)
-    all_passed = True
+def cmd_gradcheck(args: argparse.Namespace) -> int:
+    reports = training.grad_check_all(seed=args.seed, tolerance=args.tolerance)
     for name, rep in reports.items():
         verdict = "PASS" if rep.passed else "FAIL"
         print(f"{name}: max_rel_err={rep.max_rel_error:.3e} "
-              f"(< {tolerance:g}): {verdict}")
-        all_passed = all_passed and rep.passed
-    out = res.get("out")
-    if out is not None:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            name: {"max_rel_error": rep.max_rel_error, "passed": rep.passed,
-                   "tolerance": rep.tolerance}
-            for name, rep in reports.items()
-        }
-        write_json(out_dir / "gradcheck_report.json", payload)
-        _archive(out_dir, "gradcheck", {"seed": seed, "tolerance": tolerance})
-    return EXIT_OK if all_passed else EXIT_NUMERIC
-
-
-_COMMANDS = {
-    "generate": cmd_generate,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "sweep": cmd_sweep,
-    "reconstruct": cmd_reconstruct,
-    "gradcheck": cmd_gradcheck,
-}
+              f"(< {args.tolerance:g}): {verdict}")
+    payload = {
+        name: {"max_rel_error": rep.max_rel_error, "passed": rep.passed,
+               "tolerance": rep.tolerance}
+        for name, rep in reports.items()
+    }
+    _archive(args.out, "gradcheck", {"seed": args.seed, "tolerance": args.tolerance},
+             {"gradcheck_report.json": payload})
+    return EXIT_OK if all(rep.passed for rep in reports.values()) else EXIT_NUMERIC
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        config = {} if args.config is None else read_json_object(args.config)
-        res = _Resolver(args, config)
-        return _COMMANDS[args.command](res)
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except SamplingStuckError as exc:
+        if args.config is not None:
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(command, args.config))
+            args = parser.parse_args(argv)
+        return args.run(args)
+    except (NumericError, SamplingStuckError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except FormatError as exc:

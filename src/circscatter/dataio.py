@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import FormatError, LayoutError, ValidationError
 from .geometry import (
+    IMPEDANCE_RANGE,
     N_COEFFS,
     BoundaryShape,
     ScatterConfig,
@@ -235,7 +236,7 @@ def generate_dataset(class_tags, n: int, config: ScatterConfig, seed: int,
         fixed = None
     else:
         fixed = float(impedance)
-        lo, hi = 0.1, 10.0
+        lo, hi = IMPEDANCE_RANGE
         if not lo <= fixed <= hi:
             raise ValidationError(f"fixed impedance {fixed} outside [{lo}, {hi}]")
     task = "class" if len(tags) > 1 else "reg"

@@ -72,10 +72,8 @@ class SuiteSpec:
             return "classifier"
         return _TAG_TO_NAME[int(self.class_tags[0])]
 
-    def config(self, base: ScatterConfig | None = None) -> ScatterConfig:
-        if base is None:
-            return ScatterConfig(t0=self.t0, c0=self.c0, phis=self.phis)
-        return dataclasses.replace(base, t0=self.t0, c0=self.c0, phis=self.phis)
+    def config(self) -> ScatterConfig:
+        return ScatterConfig(t0=self.t0, c0=self.c0, phis=self.phis)
 
     def n_at_scale(self, scale: float) -> int:
         if not 0.0 < scale <= 1.0:
@@ -102,26 +100,21 @@ def suite_spec(name: str) -> SuiteSpec:
             f"unknown suite {name!r}; choose from {sorted(SUITES)}") from None
 
 
-def suite_dataset(name: str, scale: float = 1.0, seed: int = 0,
-                  config: ScatterConfig | None = None) -> Dataset:
+def suite_dataset(name: str, scale: float = 1.0, seed: int = 0) -> Dataset:
     """Generate the suite's dataset at the given scale (round half up)."""
     s = suite_spec(name)
-    cfg = s.config(config)
     imp = "variable" if s.fixed_impedance is None else s.fixed_impedance
-    return dataio.generate_dataset(s.class_tags, s.n_at_scale(scale), cfg, seed,
+    return dataio.generate_dataset(s.class_tags, s.n_at_scale(scale), s.config(), seed,
                                    impedance=imp)
 
 
 # ------------------------------------------------------- superset layouts
 
 
-def superset_config(base: ScatterConfig | None = None) -> ScatterConfig:
+def superset_config() -> ScatterConfig:
     """The (T0=128, C0=8, two incidences) layout every model can be fed
     from; sub-layouts are channel prefixes plus angle subsampling."""
-    if base is None:
-        base = ScatterConfig()
-    return dataclasses.replace(base, t0=SUPERSET_T0, c0=SUPERSET_C0,
-                               phis=(0.0, math.pi))
+    return ScatterConfig(t0=SUPERSET_T0, c0=SUPERSET_C0, phis=(0.0, math.pi))
 
 
 def derive_features(features: np.ndarray, t0: int, c0: int) -> np.ndarray:
@@ -142,28 +135,24 @@ def derive_features(features: np.ndarray, t0: int, c0: int) -> np.ndarray:
     return dataio.flatten_tensor(x[..., ::stride, :c0])
 
 
-def generate_superset(class_tags, n: int, seed: int,
-                      config: ScatterConfig | None = None,
-                      impedance="variable") -> Dataset:
+def generate_superset(class_tags, n: int, seed: int) -> Dataset:
     """Generate directly in the superset layout (one stored sample serves
     every model layout via derive_features)."""
-    return dataio.generate_dataset(class_tags, n, superset_config(config), seed,
-                                   impedance=impedance)
+    return dataio.generate_dataset(class_tags, n, superset_config(), seed)
 
 
-def superset_features(shape: BoundaryShape,
-                      config: ScatterConfig | None = None) -> np.ndarray:
+def superset_features(shape: BoundaryShape) -> np.ndarray:
     """One obstacle's feature row in the superset layout."""
-    return dataio.feature_row(shape, superset_config(config))
+    return dataio.feature_row(shape, superset_config())
 
 
-def regenerate_shape(ds: Dataset, i: int,
-                     config: ScatterConfig | None = None) -> BoundaryShape:
+def regenerate_shape(ds: Dataset, i: int) -> BoundaryShape:
     """Rebuild the exact obstacle behind dataset row i.
 
     Rows are pure functions of (seed, index) via spawned child seeds, so
     the dataset stores "{seed}:{index}" ids instead of shape parameters.
-    Sampling reads only ``config.t_boundary``, so the dataset's own
+    Sampling reads only the config's ``t_boundary``, which every suite
+    and superset layout leaves at its default, so the dataset's own
     layout need not be restored.
     """
     sid = ds.shape_ids[i]
@@ -177,8 +166,7 @@ def regenerate_shape(ds: Dataset, i: int,
     else:
         tag = int(ds.classes[0])
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-    return sample_shape(tag, rng, config or ScatterConfig(),
-                        fixed_impedance=ds.fixed_impedance)
+    return sample_shape(tag, rng, ScatterConfig(), fixed_impedance=ds.fixed_impedance)
 
 
 # --------------------------------------------------------------- registry
@@ -388,8 +376,7 @@ def shape_in_ranges(shape: BoundaryShape) -> bool:
             and inside(shape.impedance, geometry.IMPEDANCE_RANGE))
 
 
-def infer(registry: ModelRegistry, features,
-          config: ScatterConfig | None = None) -> InverseSolution:
+def infer(registry: ModelRegistry, features) -> InverseSolution:
     """Classify, route to that class's regressor, assemble the shape.
 
     ``features`` is one superset-layout row (see ``superset_config``);
@@ -414,7 +401,7 @@ def infer(registry: ModelRegistry, features,
     values = reg.predict_params(derive_features(row, reg.t0, reg.c0))[0]
     shape = targets_to_shape(tag, values, fixed_impedance=reg.fixed_impedance,
                              check_ranges=False)
-    diag = validate_shape(shape, config or ScatterConfig())
+    diag = validate_shape(shape, ScatterConfig())
     return InverseSolution(
         class_probs=probs[0],
         classes=clf.classes,
@@ -547,7 +534,6 @@ class MisclassificationReport:
 
 
 def misclassification_report(registry: ModelRegistry, ds: Dataset,
-                             config: ScatterConfig | None = None,
                              curve_points: int = 128) -> MisclassificationReport:
     """Route every misclassified test obstacle through the (wrong-class)
     regressor it lands on and measure the resulting boundary error.
@@ -570,7 +556,7 @@ def misclassification_report(registry: ModelRegistry, ds: Dataset,
     entries = []
     for i in np.nonzero(pred != true)[0]:
         pred_tag = int(pred[i])
-        true_shape = regenerate_shape(ds, int(i), config)
+        true_shape = regenerate_shape(ds, int(i))
         reg = registry.regressors.get(pred_tag)
         disc = None
         degenerate = False
@@ -578,8 +564,7 @@ def misclassification_report(registry: ModelRegistry, ds: Dataset,
             if (reg.t0, reg.c0) == (ds.t0, ds.c0):
                 row = ds.features[i]
             else:
-                row = derive_features(superset_features(true_shape, config),
-                                      reg.t0, reg.c0)
+                row = derive_features(superset_features(true_shape), reg.t0, reg.c0)
             values = reg.predict_params(row)[0]
             pred_shape = targets_to_shape(pred_tag, values,
                                           fixed_impedance=reg.fixed_impedance,
@@ -646,8 +631,7 @@ def _row_errors(preds: np.ndarray, ds: Dataset) -> np.ndarray:
 
 
 def _regression_curves(ds: Dataset, preds: np.ndarray, out_dir: Path, prefix: str,
-                       seed: int, curve_points: int,
-                       config: ScatterConfig | None) -> dict:
+                       seed: int, curve_points: int) -> dict:
     """Write max/min/random truth-vs-prediction curve files over the rows
     of ``ds`` predicted as ``preds``; returns {kind: path}."""
     err = _row_errors(preds, ds)
@@ -659,7 +643,7 @@ def _regression_curves(ds: Dataset, preds: np.ndarray, out_dir: Path, prefix: st
     tag = int(ds.classes[0])
     files = {}
     for kind, j in picks.items():
-        true_shape = regenerate_shape(ds, j, config)
+        true_shape = regenerate_shape(ds, j)
         pred_shape = targets_to_shape(tag, preds[j],
                                       fixed_impedance=ds.fixed_impedance,
                                       check_ranges=False)
@@ -673,9 +657,7 @@ def _regression_curves(ds: Dataset, preds: np.ndarray, out_dir: Path, prefix: st
 def run_experiment(suite: str, out_dir=None, scale: float = 1.0, seed: int = 0,
                    data=None, train_overrides: dict | None = None,
                    noise_levels=DEFAULT_NOISE_LEVELS, noise_trials: int = 5,
-                   curve_points: int = 256, save_dataset: bool = False,
-                   config: ScatterConfig | None = None,
-                   verbose: bool = False) -> ExperimentResult:
+                   curve_points: int = 256, verbose: bool = False) -> ExperimentResult:
     """Run one suite end to end: data, preset training, then the model
     tools on the test rows: clean evaluation, noise sweep, and (for
     regression) error histogram plus max/min/random reconstruction
@@ -685,7 +667,7 @@ def run_experiment(suite: str, out_dir=None, scale: float = 1.0, seed: int = 0,
     s = suite_spec(suite)
     spec = preset_spec(s.preset)
     if data is None:
-        ds = suite_dataset(suite, scale, seed, config)
+        ds = suite_dataset(suite, scale, seed)
     elif isinstance(data, Dataset):
         ds = data
     else:
@@ -747,16 +729,12 @@ def run_experiment(suite: str, out_dir=None, scale: float = 1.0, seed: int = 0,
         files["model"] = out_path / f"{name}.model"
         files["scaler"] = out_path / f"{name}.scaler.json"
 
-        if save_dataset:
-            files["dataset"] = out_path / f"{prefix}dataset.csc"
-            dataio.write_dataset(files["dataset"], ds, binary=True)
-
         if s.task == "reg":
             preds = model.predict_params(test.features)
             files["errors_hist"] = out_path / f"{prefix}errors_hist.csv"
             _hist_csv(files["errors_hist"], _row_errors(preds, test))
             files.update(_regression_curves(test, preds, out_path, prefix, seed,
-                                            curve_points, config))
+                                            curve_points))
 
     return ExperimentResult(suite=suite, n=n, preset=s.preset, seed=seed,
                             scale=scale, model=model, history=history, clean=clean,
@@ -806,8 +784,7 @@ def sweep_model(model: TrainedModel, ds: Dataset, levels=DEFAULT_NOISE_LEVELS,
 
 
 def reconstruct_samples(model: TrainedModel, ds: Dataset, out_dir, seed: int = 0,
-                        curve_points: int = 256,
-                        config: ScatterConfig | None = None) -> dict:
+                        curve_points: int = 256) -> dict:
     """Emit max/min/random truth-vs-prediction curve files for a
     regression dataset under a trained model."""
     _check_fits(ds, model.spec, model.classes or (model.class_tag,), "the model")
@@ -816,4 +793,4 @@ def reconstruct_samples(model: TrainedModel, ds: Dataset, out_dir, seed: int = 0
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     return _regression_curves(ds, model.predict_params(ds.features), out_path, "",
-                              seed, curve_points, config)
+                              seed, curve_points)

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -69,9 +70,23 @@ def test_config_file_with_flag_override(tmp_path):
     assert rc == 0  # flag --scale wins over the config's full scale
     archived = json.loads((tmp_path / "run" / "generate_config.json").read_text())
     assert archived["n"] == 9 and archived["seed"] == 5
+    # the same run given by flags alone, or by a config file alone (with a
+    # null seed counting as absent, i.e. the default 0), writes the same bytes
+    names = ("classification.csc", "generate_config.json")
+    out = str(tmp_path / "same")
+    assert run("generate", "--suite", "classification", "--scale", "0.0001",
+               "--format", "text", "--out", out) == 0
+    by_flags = [(tmp_path / "same" / name).read_bytes() for name in names]
+    cfg_path.write_text(json.dumps({
+        "suite": "classification", "scale": 0.0001, "seed": None,
+        "file_format": "text", "out": out,
+    }))
+    assert run("generate", "--config", str(cfg_path)) == 0
+    assert [(tmp_path / "same" / name).read_bytes() for name in names] == by_flags
+    assert json.loads(by_flags[1])["seed"] == 0
 
 
-def test_invalid_config_file(tmp_path):
+def test_invalid_config_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run("generate", "--config", str(bad), "--out", str(tmp_path)) == 4
@@ -81,6 +96,14 @@ def test_invalid_config_file(tmp_path):
     utf16 = tmp_path / "utf16.json"
     utf16.write_bytes(b"\xff\xfe" + '{"seed": 1}'.encode("utf-16-le"))
     assert run("generate", "--config", str(utf16), "--out", str(tmp_path)) == 4
+    # a value its option cannot parse, or that is not among its choices,
+    # exits 4 and names the key, as the same text given as a flag is refused
+    value = tmp_path / "value.json"
+    for key, bad in (("seed", [1]), ("seed", 3.7), ("seed", True), ("scale", "x"),
+                     ("file_format", "xml"), ("suite", ["kite"])):
+        value.write_text(json.dumps({"suite": "peanut", key: bad}))
+        assert run("generate", "--config", str(value), "--out", str(tmp_path)) == 4
+        assert f"config key {key!r}" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- train
@@ -307,3 +330,17 @@ def test_console_script_runs(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "wrote 3 samples" in proc.stdout
+
+
+def test_threads_cap_warns_when_numpy_loaded_first():
+    # numpy's BLAS reads its thread variables when numpy loads, so
+    # CIRCSCATTER_THREADS set in a process that imported numpy first
+    # cannot take effect, and importing circscatter says so
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["CIRCSCATTER_THREADS"] = "1"
+    for order, warns in (("numpy, circscatter", True), ("circscatter, numpy", False)):
+        proc = subprocess.run([sys.executable, "-c", f"import {order}"], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert ("CIRCSCATTER_THREADS=1 does not reach" in proc.stderr) == warns, order

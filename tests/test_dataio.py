@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import hashlib
 import json
 import math
@@ -107,7 +108,7 @@ def test_surrogate_matches_direct_triple_loop():
 def test_surrogate_matches_triple_loop_on_superset_grid(t_boundary, phi):
     # T0=128 with both incidences, as stored in the superset; the
     # half-grid form pairs x_hat_j with x_hat_{j+64} = -x_hat_j
-    cfg = pipeline.superset_config(ScatterConfig(t_boundary=t_boundary))
+    cfg = dataclasses.replace(pipeline.superset_config(), t_boundary=t_boundary)
     rng = np.random.default_rng(31)
     for tag in (ShapeClass.KITE, ShapeClass.STAR):
         shape = sample_shape(tag, rng, cfg)

@@ -52,6 +52,10 @@ def test_default_config_wavenumber():
     assert abs(cfg.kappa0 - 2.5) < 1e-12
     assert cfg.kappa0**2 == pytest.approx(
         cfg.omega**2 * cfg.mu0 * cfg.eps0 * (1 - math.cos(cfg.theta) ** 2), abs=1e-12)
+    # high frequency at grazing incidence: kappa0 is omega * sin(theta)
+    # exactly, however far 1 - cos(theta)**2 cancels
+    for omega, theta in ((1000.0, 1e-3), (1e8, 1e-4)):
+        assert ScatterConfig(omega=omega, theta=theta).kappa0 == omega * math.sin(theta)
 
 
 def test_config_validation():
