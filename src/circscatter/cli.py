@@ -56,7 +56,6 @@ def _build_parser():
         p.add_argument("--config", help="JSON config file whose keys are option "
                                         "names (dest); flags override it")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="run seed (default %(default)s)")
         return p
 
     def suite_and_scale(p):
@@ -111,6 +110,10 @@ def _build_parser():
     p = command("gradcheck", cmd_gradcheck, "finite-difference gradient check")
     p.add_argument("--tolerance", type=float, default=1e-4)
 
+    # the subcommands that draw random numbers; evaluate draws none
+    for name in ("generate", "train", "sweep", "reconstruct", "gradcheck"):
+        sub.choices[name].add_argument("--seed", type=int, default=0,
+                                       help="run seed (default %(default)s)")
     return parser, sub.choices
 
 

@@ -31,6 +31,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +156,27 @@ def flatten_tensor(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- datasets
 
 
+def _check_fields(task, t0, c0, classes, shape_ids, fixed_impedance) -> None:
+    """The rules a dataset's header fields obey wherever they come from:
+    a file of either container, a generator's arguments, or a Dataset."""
+    tags = [int(tag) for tag in ShapeClass]
+    if task not in ("class", "reg"):
+        raise ValidationError(f"unknown task {task!r}")
+    if not (type(t0) is int and type(c0) is int and t0 >= 1 and c0 >= 1):
+        raise ValidationError(f"t0 and c0 must be >= 1 and integers, got t0={t0!r}, c0={c0!r}")
+    if not (type(classes) is tuple and classes
+            and all(type(c) is int and c in tags for c in classes)):
+        raise ValidationError(f"classes must be a nonempty tuple of tags from {tags}, "
+                              f"got {classes!r}")
+    if not (isinstance(shape_ids, list) and all(isinstance(s, str) for s in shape_ids)):
+        raise ValidationError("shape ids must be a list of strings")
+    lo, hi = IMPEDANCE_RANGE
+    number = isinstance(fixed_impedance, (int, float)) and not isinstance(fixed_impedance, bool)
+    if not (fixed_impedance is None or number and lo <= fixed_impedance <= hi):
+        raise ValidationError(f"fixed impedance {fixed_impedance!r} is not a number "
+                              f"in [{lo}, {hi}]")
+
+
 @dataclass
 class Dataset:
     """In-memory dataset: features (n, t0*c0) float64, targets either
@@ -170,10 +192,8 @@ class Dataset:
     fixed_impedance: float | None = None
 
     def __post_init__(self):
-        if self.task not in ("class", "reg"):
-            raise ValidationError(f"unknown task {self.task!r}")
-        if self.t0 < 1 or self.c0 < 1:
-            raise ValidationError(f"t0 and c0 must be >= 1, got t0={self.t0}, c0={self.c0}")
+        _check_fields(self.task, self.t0, self.c0, self.classes, self.shape_ids,
+                      self.fixed_impedance)
         if self.features.ndim != 2 or self.features.shape[1] != self.t0 * self.c0:
             raise ValidationError("features must be (n, t0*c0)")
         if len(self.features) == 0:
@@ -207,13 +227,13 @@ class Dataset:
 
 
 @contextlib.contextmanager
-def _file_fields(context: str):
-    """Where a reader builds its Dataset: a field the Dataset refuses is a
-    FormatError, its message prefixed with ``context``."""
+def _file_fields(context: str, line: int | None = None):
+    """Where a reader checks its header or builds its Dataset: a field
+    refused there is a FormatError, its message prefixed with ``context``."""
     try:
         yield
-    except (TypeError, ValidationError) as exc:
-        raise FormatError(f"{context}: {exc}") from exc
+    except (TypeError, OverflowError, ValidationError) as exc:
+        raise FormatError(f"{context}: {exc}", line=line) from exc
 
 
 def generate_dataset(class_tags, n: int, config: ScatterConfig, seed: int,
@@ -232,19 +252,15 @@ def generate_dataset(class_tags, n: int, config: ScatterConfig, seed: int,
         raise ValidationError("need at least one class tag")
     if n < 1:
         raise ValidationError("n must be positive")
-    if impedance == "variable":
-        fixed = None
-    else:
-        fixed = float(impedance)
-        lo, hi = IMPEDANCE_RANGE
-        if not lo <= fixed <= hi:
-            raise ValidationError(f"fixed impedance {fixed} outside [{lo}, {hi}]")
+    fixed = None if impedance == "variable" else float(impedance)
     task = "class" if len(tags) > 1 else "reg"
+    classes = tuple(sorted(int(t) for t in set(tags)))
+    shape_ids = [f"{seed}:{i}" for i in range(n)]
+    _check_fields(task, config.t0, config.c0, classes, shape_ids, fixed)
     include_imp = fixed is None
 
     children = np.random.SeedSequence(seed).spawn(n)
     features = np.empty((n, config.t0 * config.c0), dtype=np.float64)
-    shape_ids = []
     if task == "class":
         targets = np.empty(n, dtype=np.int64)
     else:
@@ -260,9 +276,7 @@ def generate_dataset(class_tags, n: int, config: ScatterConfig, seed: int,
             targets[i] = int(tag)
         else:
             targets[i] = shape_to_targets(shape, include_impedance=include_imp)
-        shape_ids.append(f"{seed}:{i}")
 
-    classes = tuple(sorted(int(t) for t in set(tags)))
     return Dataset(features, targets, task, config.t0, config.c0, classes,
                    shape_ids, fixed_impedance=fixed)
 
@@ -378,10 +392,10 @@ def _parse_header(line: str) -> dict:
         }
     except (KeyError, ValueError) as exc:
         raise FormatError(f"invalid header: {exc}", line=1) from exc
-    if parsed["task"] not in ("class", "reg"):
-        raise FormatError(f"unknown task {parsed['task']!r}", line=1)
-    if any(c not in (1, 2, 3) for c in parsed["classes"]):
-        raise FormatError(f"unknown class tags {parsed['classes']}", line=1)
+    with _file_fields("invalid header", line=1):
+        # a text file's shape ids come one per row
+        _check_fields(parsed["task"], parsed["t0"], parsed["c0"], parsed["classes"], [],
+                      parsed["fixed_lambda"])
     return parsed
 
 
@@ -399,33 +413,34 @@ def write_dataset_text(path, ds: Dataset) -> None:
 
 
 def read_dataset_text(path) -> Dataset:
-    with open(path, "r", encoding="ascii") as fh:
-        head = _parse_header(fh.readline().rstrip("\n"))
-        d = head["t0"] * head["c0"]
-        n_target = 1 if head["task"] == "class" else head["p"]
-        features, targets, shape_ids = [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split(",")
-            if len(cols) != d + n_target + 1:
-                raise FormatError(
-                    f"expected {d + n_target + 1} columns, got {len(cols)}", line=lineno)
-            try:
-                features.append([float(v) for v in cols[:d]])
-                if head["task"] == "class":
-                    targets.append(int(cols[d]))
-                else:
-                    targets.append([float(v) for v in cols[d:d + n_target]])
-            except ValueError as exc:
-                raise FormatError(str(exc), line=lineno) from exc
-            shape_ids.append(cols[-1])
-    if not features:
-        raise FormatError("dataset has no rows", line=2)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not an ASCII text dataset: {exc}") from exc
+    head = _parse_header(lines[0])
+    d = head["t0"] * head["c0"]
+    n_target = 1 if head["task"] == "class" else head["p"]
+    features, targets, shape_ids = [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        cols = line.split(",")
+        if len(cols) != d + n_target + 1:
+            raise FormatError(
+                f"expected {d + n_target + 1} columns, got {len(cols)}", line=lineno)
+        try:
+            features.append([float(v) for v in cols[:d]])
+            if head["task"] == "class":
+                targets.append(int(cols[d]))
+            else:
+                targets.append([float(v) for v in cols[d:d + n_target]])
+        except ValueError as exc:
+            raise FormatError(str(exc), line=lineno) from exc
+        shape_ids.append(cols[-1])
     with _file_fields("invalid dataset"):
-        return Dataset(np.asarray(features, dtype=np.float64), targets, head["task"],
-                       head["t0"], head["c0"], head["classes"], shape_ids,
+        return Dataset(np.asarray(features, dtype=np.float64).reshape(-1, d), targets,
+                       head["task"], head["t0"], head["c0"], head["classes"], shape_ids,
                        fixed_impedance=head["fixed_lambda"])
 
 
@@ -468,25 +483,24 @@ def read_dataset_binary(path) -> Dataset:
         n, t0, c0, p = header["n"], header["t0"], header["c0"], header["p"]
         if not all(type(v) is int and v >= 0 for v in (n, t0, c0, p)):
             raise FormatError("binary header n, t0, c0, p must be integers >= 0")
-        task = header["task"]
+        task, classes = header["task"], header["classes"]
+        if isinstance(classes, list):
+            classes = tuple(classes)
+        fields = (task, t0, c0, classes, header["shape_ids"], header.get("fixed_lambda"))
+        with _file_fields("bad binary header"):
+            _check_fields(*fields)
         d = t0 * c0
-        features = np.frombuffer(fh.read(8 * n * d), dtype="<f8")
-        if features.size != n * d:
-            raise FormatError("truncated feature payload")
-        features = features.reshape(n, d).astype(np.float64)
-        n_target = 1 if task == "class" else p
-        targets = np.frombuffer(fh.read(8 * n * n_target), dtype="<f8")
-        if targets.size != n * n_target:
-            raise FormatError("truncated target payload")
-        if task == "class":
-            targets = targets.astype(np.int64)
-        else:
-            targets = targets.reshape(n, p).astype(np.float64)
-        if fh.read(1):
-            raise FormatError("trailing bytes after payload")
+        need = 8 * n * (d + (1 if task == "class" else p))
+        # sized against the file before anything is read, so a header
+        # cannot ask for more than the file holds
+        have = os.fstat(fh.fileno()).st_size - fh.tell()
+        if have != need:
+            what = "truncated" if have < need else "trailing bytes after"
+            raise FormatError(f"{what} payload: {have} bytes where the header needs {need}")
+        values = np.frombuffer(fh.read(need), dtype="<f8").astype(np.float64)
+    targets = values[n * d:] if task == "class" else values[n * d:].reshape(n, p)
     with _file_fields("bad binary header"):
-        return Dataset(features, targets, task, t0, c0, tuple(header["classes"]),
-                       list(header["shape_ids"]), fixed_impedance=header.get("fixed_lambda"))
+        return Dataset(values[:n * d].reshape(n, d), targets, *fields)
 
 
 def write_dataset(path, ds: Dataset, binary: bool = False) -> None:

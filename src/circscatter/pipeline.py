@@ -43,7 +43,6 @@ SUPERSET_C0 = 8
 DEFAULT_NOISE_LEVELS = (0.005, 0.01, 0.02, 0.05)
 REGISTRY_FORMAT = "circscatter-registry-v1"
 MANIFEST_NAME = "manifest.json"
-_TAG_TO_NAME = {1: "peanut", 2: "kite", 3: "star"}
 
 
 # ---------------------------------------------------------------- suites
@@ -51,14 +50,12 @@ _TAG_TO_NAME = {1: "peanut", 2: "kite", 3: "star"}
 
 @dataclass(frozen=True)
 class SuiteSpec:
-    """One experiment suite: dataset recipe plus the matching preset."""
+    """One experiment suite: dataset recipe plus the matching preset,
+    whose input layout is the dataset's."""
 
     name: str
     class_tags: tuple
     n_full: int
-    t0: int
-    c0: int
-    phis: tuple
     preset: str
     fixed_impedance: float | None = None
 
@@ -70,10 +67,11 @@ class SuiteSpec:
     def registry_name(self) -> str:
         if self.task == "class":
             return "classifier"
-        return _TAG_TO_NAME[int(self.class_tags[0])]
+        return ShapeClass(self.class_tags[0]).name.lower()
 
     def config(self) -> ScatterConfig:
-        return ScatterConfig(t0=self.t0, c0=self.c0, phis=self.phis)
+        spec = preset_spec(self.preset)
+        return ScatterConfig(t0=spec.input_t, c0=spec.input_c)
 
     def n_at_scale(self, scale: float) -> int:
         if not 0.0 < scale <= 1.0:
@@ -82,13 +80,11 @@ class SuiteSpec:
 
 
 SUITES = {
-    "classification": SuiteSpec("classification", (1, 2, 3), 90000, 32, 2, (0.0,), "ap1"),
-    "peanut": SuiteSpec("peanut", (1,), 30000, 32, 2, (0.0,), "ap2"),
-    "kite": SuiteSpec("kite", (2,), 30000, 32, 2, (0.0,), "ap4"),
-    "star_fixed": SuiteSpec("star_fixed", (3,), 80000, 128, 4, (0.0,), "ap7",
-                            fixed_impedance=2.0),
-    "star_variable": SuiteSpec("star_variable", (3,), 120000, 128, 8,
-                               (0.0, math.pi), "ap10"),
+    "classification": SuiteSpec("classification", (1, 2, 3), 90000, "ap1"),
+    "peanut": SuiteSpec("peanut", (1,), 30000, "ap2"),
+    "kite": SuiteSpec("kite", (2,), 30000, "ap4"),
+    "star_fixed": SuiteSpec("star_fixed", (3,), 80000, "ap7", fixed_impedance=2.0),
+    "star_variable": SuiteSpec("star_variable", (3,), 120000, "ap10"),
 }
 
 
@@ -114,7 +110,7 @@ def suite_dataset(name: str, scale: float = 1.0, seed: int = 0) -> Dataset:
 def superset_config() -> ScatterConfig:
     """The (T0=128, C0=8, two incidences) layout every model can be fed
     from; sub-layouts are channel prefixes plus angle subsampling."""
-    return ScatterConfig(t0=SUPERSET_T0, c0=SUPERSET_C0, phis=(0.0, math.pi))
+    return ScatterConfig(t0=SUPERSET_T0, c0=SUPERSET_C0)
 
 
 def derive_features(features: np.ndarray, t0: int, c0: int) -> np.ndarray:
@@ -226,14 +222,13 @@ class TrainedModel:
         return self.answers(self._standardize(raw_features, "reg"))
 
     def meta_dict(self) -> dict:
-        phis = [0.0, math.pi] if self.c0 == 8 else [0.0]
         return {
             "preset": self.preset,
             "seed": self.seed,
             "task": self.spec.task,
             "t0": self.t0,
             "c0": self.c0,
-            "phis": phis,
+            "phis": list(geometry.incidences(self.c0)),
             "classes": list(self.classes) if self.classes is not None else None,
             "class_tag": self.class_tag,
             "fixed_impedance": self.fixed_impedance,
@@ -312,11 +307,11 @@ class ModelRegistry:
     def add(self, name: str, model: TrainedModel) -> None:
         if name == "classifier":
             self.classifier = model
-        elif name in _TAG_TO_NAME.values():
-            tag = {v: k for k, v in _TAG_TO_NAME.items()}[name]
-            self.regressors[tag] = model
         else:
-            raise ValidationError(f"unknown registry model name {name!r}")
+            tag = next((t for t in ShapeClass if t.name.lower() == name), None)
+            if tag is None:
+                raise ValidationError(f"unknown registry model name {name!r}")
+            self.regressors[int(tag)] = model
 
     def save(self, directory) -> None:
         directory = Path(directory)
@@ -324,7 +319,7 @@ class ModelRegistry:
             meta = self.classifier.save(directory, "classifier")
             _update_manifest(directory, "classifier", meta)
         for tag, model in sorted(self.regressors.items()):
-            name = _TAG_TO_NAME[int(tag)]
+            name = ShapeClass(tag).name.lower()
             meta = model.save(directory, name)
             _update_manifest(directory, name, meta)
 
@@ -352,28 +347,6 @@ class InverseSolution:
     in_sampling_ranges: bool
     diagnostics: geometry.ShapeDiagnostics
     provenance: dict
-
-
-def shape_in_ranges(shape: BoundaryShape) -> bool:
-    """Whether every parameter falls inside the training sampling box."""
-
-    def inside(values, bounds) -> bool:
-        lo, hi = bounds
-        v = np.asarray(values)
-        return bool(np.all(v >= lo) and np.all(v <= hi))
-
-    c = shape.coeffs
-    if shape.class_tag == ShapeClass.PEANUT:
-        ok = inside(c, geometry.PEANUT_AXIS_RANGE)
-    elif shape.class_tag == ShapeClass.KITE:
-        ok = (inside(c[0], geometry.KITE_ALPHA_RANGE)
-              and inside(c[1], geometry.KITE_BETA_RANGE)
-              and inside(c[2], geometry.KITE_GAMMA_RANGE))
-    else:
-        ok = (inside(c[0], geometry.STAR_BASE_RANGE)
-              and inside(c[1:], geometry.STAR_HARMONIC_RANGE))
-    return (ok and inside(shape.center, geometry.CENTER_RANGE)
-            and inside(shape.impedance, geometry.IMPEDANCE_RANGE))
 
 
 def infer(registry: ModelRegistry, features) -> InverseSolution:
@@ -407,11 +380,11 @@ def infer(registry: ModelRegistry, features) -> InverseSolution:
         classes=clf.classes,
         predicted_class=tag,
         shape=shape,
-        in_sampling_ranges=shape_in_ranges(shape),
+        in_sampling_ranges=geometry.in_sampling_ranges(shape),
         diagnostics=diag,
         provenance={
             "classifier": {"preset": clf.preset, "seed": clf.seed},
-            "regressor": {"name": _TAG_TO_NAME[tag], "preset": reg.preset,
+            "regressor": {"name": ShapeClass(tag).name.lower(), "preset": reg.preset,
                           "seed": reg.seed},
         },
     )

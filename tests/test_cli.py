@@ -227,6 +227,25 @@ def test_evaluate_bad_binary_header_exit_code(trained_run, tmp_path, header):
     assert rc == 4
 
 
+@pytest.mark.parametrize("key, value", [("shape_ids", list(range(12))),
+                                        ("fixed_lambda", "abc"), ("classes", [7])])
+def test_reconstruct_bad_binary_header_field_exit_code(trained_run, tmp_path, key, value,
+                                                       capsys):
+    # header fields of the wrong type or value are refused when the file
+    # is read: exit 4, not a traceback or exit 2 later on
+    out, data = trained_run
+    blob = data.read_bytes()
+    hlen = int(np.frombuffer(blob[4:8], dtype="<u4")[0])
+    header = json.dumps({**json.loads(blob[8:8 + hlen]), key: value}).encode("ascii")
+    bad = tmp_path / "bad.csc"
+    bad.write_bytes(blob[:4] + np.array(len(header), dtype="<u4").tobytes() + header
+                    + blob[8 + hlen:])
+    rc = run("reconstruct", "--model", str(out / "peanut"), "--data", str(bad),
+             "--out", str(tmp_path))
+    assert rc == 4
+    assert "bad binary header" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["{not json", "[]"])
 def test_malformed_scaler_and_manifest_exit_code(trained_run, tmp_path, text, capsys):
     # a scaler or manifest that is not a JSON object is a format error: exit 4
@@ -271,6 +290,15 @@ def test_sweep_command(trained_run, tmp_path, capsys):
     assert len(lines) == 2 and lines[0].startswith("level 0.000000")
     table = json.loads((tmp_path / "peanut_sweep.json").read_text())
     assert [row["level"] for row in table] == [0.0, 0.02]
+
+
+def test_evaluate_takes_no_seed(trained_run, capsys):
+    # evaluate draws nothing at random, so it has no --seed to ignore
+    out, data = trained_run
+    with pytest.raises(SystemExit) as exc:
+        run("evaluate", "--model", str(out / "peanut"), "--data", str(data), "--seed", "5")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_sweep_bad_levels(trained_run, capsys):

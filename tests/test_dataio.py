@@ -171,7 +171,7 @@ def test_assemble_channels_channel_major():
     npt.assert_array_equal(feats[3 * t0: 4 * t0], h.imag)
     # c0 = 2 keeps E alone; c0 = 8 repeats the four channels per incidence
     npt.assert_array_equal(assemble_channels({0.0: (e, h)}, ScatterConfig()), feats[:2 * t0])
-    both = ScatterConfig(c0=8, phis=(0.0, math.pi))
+    both = ScatterConfig(c0=8)
     e2, h2 = surrogate_farfield(shape, both, math.pi)
     eight = assemble_channels({0.0: (e, h), math.pi: (e2, h2)}, both)
     npt.assert_array_equal(eight[:4 * t0], feats)
@@ -222,7 +222,7 @@ def test_generate_regression_dataset_dims():
     assert ds.targets.shape == (6, 13)
     assert ds.fixed_impedance == 2.0
     assert ds.features.shape == (6, 512)
-    cfg8 = ScatterConfig(c0=8, t0=128, phis=(0.0, math.pi))
+    cfg8 = ScatterConfig(c0=8, t0=128)
     ds = generate_dataset([ShapeClass.STAR], 6, cfg8, seed=4)
     assert ds.targets.shape == (6, 14)
     assert ds.features.shape == (6, 1024)
@@ -501,10 +501,15 @@ def test_binary_header_errors(tmp_path):
             blob, json.dumps({**header, key: value}).encode("ascii")))
         with pytest.raises(errors.FormatError, match="integers"):
             read_dataset_binary(bad)
-    for key, value in (("task", "nope"), ("classes", 7), ("shape_ids", ["a"])):
+    for key, value, message in (("task", "nope", "task"), ("classes", 7, "classes"),
+                                ("shape_ids", ["a"], "shape_id"),
+                                ("shape_ids", [0, 1, 2, 3], "shape ids"),
+                                ("shape_ids", "abcd", "shape ids"),
+                                ("fixed_lambda", "abc", "fixed impedance"),
+                                ("classes", [7], "classes")):
         bad.write_bytes(_with_binary_header(
             blob, json.dumps({**header, key: value}).encode("ascii")))
-        with pytest.raises(errors.FormatError, match="bad binary header"):
+        with pytest.raises(errors.FormatError, match=f"bad binary header: .*{message}"):
             read_dataset_binary(bad)
     # t0 = 0 with a payload of targets only: every size check but the
     # dataset's own passes

@@ -64,15 +64,12 @@ def test_config_validation():
     with pytest.raises(errors.ValidationError):
         ScatterConfig(t0=33)
     with pytest.raises(errors.ValidationError):
-        ScatterConfig(c0=8, phis=(0.0,))
-    with pytest.raises(errors.ValidationError, match="single phi"):
-        ScatterConfig(c0=4, phis=(0.0, math.pi))
-    with pytest.raises(errors.ValidationError):
-        ScatterConfig(phis=(0.5,))
-    with pytest.raises(errors.ValidationError):
         ScatterConfig(t_boundary=3)
-    cfg = ScatterConfig(c0=8, phis=(0.0, math.pi), t0=128)
+    cfg = ScatterConfig(c0=8, t0=128)
     assert len(cfg.phis) == 2
+    # the incidences follow from c0
+    assert cfg.phis == (0.0, math.pi)
+    assert ScatterConfig().phis == ScatterConfig(c0=4).phis == (0.0,)
 
 
 # ---------------------------------------------------------------- grids
@@ -425,6 +422,64 @@ def test_sampled_shapes_respect_ranges():
         assert geometry.KITE_BETA_RANGE[0] <= shape.coeffs[1] <= geometry.KITE_BETA_RANGE[1]
         assert geometry.IMPEDANCE_RANGE[0] <= shape.impedance <= geometry.IMPEDANCE_RANGE[1]
         assert np.all(np.abs(shape.center) <= 0.2)
+
+
+# each class's sampling range per coefficient, then x0, y0 and impedance
+BOX = {
+    ShapeClass.PEANUT: [geometry.PEANUT_AXIS_RANGE] * 2,
+    ShapeClass.KITE: [geometry.KITE_ALPHA_RANGE, geometry.KITE_BETA_RANGE,
+                      geometry.KITE_GAMMA_RANGE],
+    ShapeClass.STAR: [geometry.STAR_BASE_RANGE] + [geometry.STAR_HARMONIC_RANGE] * 10,
+}
+
+
+def box_ranges(tag):
+    return BOX[tag] + [geometry.CENTER_RANGE] * 2 + [geometry.IMPEDANCE_RANGE]
+
+
+def box_corners(tag):
+    low, high = np.array(box_ranges(tag)).T
+    return low, high
+
+
+def box_shape(tag, values):
+    n = len(BOX[tag])
+    return BoundaryShape(tag, values[:n], values[n:n + 2], values[n + 2], check_ranges=False)
+
+
+@pytest.mark.parametrize("tag", list(ShapeClass))
+def test_sampling_box_edges(tag):
+    assert list(geometry.COEFF_RANGES[tag]) == BOX[tag]
+    assert geometry.N_COEFFS[tag] == len(BOX[tag]) == {1: 2, 2: 3, 3: 11}[tag]
+    low, high = box_corners(tag)
+    assert geometry.in_sampling_ranges(box_shape(tag, low))
+    assert geometry.in_sampling_ranges(box_shape(tag, high))
+    # one value one step outside its range: coefficients, center, impedance
+    for i in range(len(low)):
+        for corner, step in ((low, -np.inf), (high, np.inf)):
+            values = corner.copy()
+            values[i] = np.nextafter(values[i], step)
+            assert not geometry.in_sampling_ranges(box_shape(tag, values)), (i, step)
+
+
+@pytest.mark.parametrize("tag", list(ShapeClass))
+def test_drawn_candidates_stay_in_the_box(tag):
+    low, high = box_corners(tag)
+    rng = np.random.default_rng(int(tag))
+    for _ in range(200):
+        values = shape_to_targets(draw_shape_candidate(tag, rng), include_impedance=True)
+        assert np.all((low <= values) & (values <= high))
+
+
+@pytest.mark.parametrize("tag", list(ShapeClass))
+def test_candidate_draws_match_one_uniform_call_per_value(tag):
+    # the reference: one scalar rng.uniform per range, in target order
+    for seed in range(20):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [ref_rng.uniform(lo, hi) for lo, hi in box_ranges(tag)]
+        got = shape_to_targets(draw_shape_candidate(tag, rng), include_impedance=True)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert rng.random() == ref_rng.random()
 
 
 def test_fixed_impedance_keeps_geometry():
