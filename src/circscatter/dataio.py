@@ -350,6 +350,9 @@ class Standardizer:
             raise FormatError(
                 f"standardizer mean and std must be lists of one length, "
                 f"got shapes {mean.shape} and {std.shape}")
+        # fit floors std at STD_FLOOR, so no file written here is refused
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise FormatError("standardizer mean must be finite and std finite and > 0")
         return cls(mean, std)
 
 

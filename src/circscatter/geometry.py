@@ -94,6 +94,9 @@ class ScatterConfig:
         for name in ("eps0", "mu0"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
+        for name in ("t_boundary", "t0", "c0"):
+            if type(getattr(self, name)) is not int:
+                raise ValidationError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.t_boundary < 4:
             raise ValidationError("boundary grid needs at least 4 nodes")
         if self.t0 not in (32, 128):

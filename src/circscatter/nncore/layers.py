@@ -138,16 +138,13 @@ def circular_conv_backward(dy: np.ndarray, cache):
     db = dy2.sum(axis=0)
     dw = (dy2.T @ cols).reshape(nf, k, c)
     dcols = (dy2 @ w.reshape(nf, k * c)).reshape(nb, t_out, k, c)
-    dpad = np.zeros((nb, t + k - 1, c), dtype=dy.dtype)
-    if stride == 1:
-        for kk in range(k):
-            dpad[:, kk:kk + t_out, :] += dcols[:, :, kk, :]
-    else:
-        pos = np.arange(t_out) * stride
-        for kk in range(k):
-            # positions are strictly increasing, so fancy += has no clashes
-            dpad[:, pos + kk, :] += dcols[:, :, kk, :]
-    return circular_pad_backward(dpad, t), dw, db
+    # padded row i*S + kk is row i + kk // S of residue plane kk % S, so
+    # each tap is one slice add, whatever the stride
+    t_pad = t + k - 1
+    dpad = np.zeros((nb, -(-t_pad // stride), stride, c), dtype=dy.dtype)
+    for kk in range(k):
+        dpad[:, kk // stride:kk // stride + t_out, kk % stride] += dcols[:, :, kk]
+    return circular_pad_backward(dpad.reshape(nb, -1, c)[:, :t_pad], t), dw, db
 
 
 class _FFTCache(NamedTuple):

@@ -1,8 +1,8 @@
 """Network specification, initialization, composed passes, model files.
 
 A NetworkSpec is an immutable layer list; Parameters hold the matching
-arrays.  Shape propagation runs at build time so an inconsistent spec
-can never reach the forward pass.
+arrays, as views into one vector.  Shape propagation runs at build time
+so an inconsistent spec can never reach the forward pass.
 
 Everything a layer kind means lives in its spec class (Conv, Attention,
 Bottleneck, Flatten, Dense, Output; see LayerSpec): its JSON name, shape
@@ -14,7 +14,9 @@ generic loops over those methods.
 from __future__ import annotations
 
 import json
+import math
 import numbers
+import os
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar
@@ -310,14 +312,33 @@ class NetworkSpec:
 
 
 class Parameters:
-    """Per-layer dict of named arrays, aligned with NetworkSpec.layers.
+    """All of a network's parameters in one contiguous 1-D array.
+
+    ``layout`` gives, per layer of NetworkSpec.layers, name -> shape.
+    ``vector`` holds the arrays back to back in ``arrays()`` order (layer
+    order, then sorted names), which is also the .model payload order,
+    and ``layers[i][name]`` is a reshaped view into it.  Whole-set
+    operations (Adam, clipping, copies, model files) therefore act on
+    ``vector`` alone.  Write through the views (``group[name][...] = x``)
+    and never rebind a dict entry: a rebound entry no longer aliases
+    ``vector``.
 
     ``version`` increments on every optimizer step so that stale
     forward caches can be rejected by the backward pass.
     """
 
-    def __init__(self, per_layer: list[dict]):
-        self.layers = per_layer
+    def __init__(self, layout: list[dict], vector: np.ndarray):
+        self.layout = layout
+        self.vector = vector
+        self.layers = []
+        start = 0
+        for shapes in layout:
+            group = {}
+            for name in sorted(shapes):
+                size = math.prod(shapes[name])
+                group[name] = vector[start:start + size].reshape(shapes[name])
+                start += size
+            self.layers.append(group)
         self.version = 0
 
     def arrays(self):
@@ -327,21 +348,22 @@ class Parameters:
                 yield i, name, group[name]
 
     def copy(self) -> "Parameters":
-        return Parameters([{k: v.copy() for k, v in group.items()} for group in self.layers])
+        return Parameters(self.layout, self.vector.copy())
 
     def zeros_like(self) -> "Parameters":
-        return Parameters([{k: np.zeros_like(v) for k, v in group.items()}
-                           for group in self.layers])
+        return Parameters(self.layout, np.zeros_like(self.vector))
 
     @property
     def num_params(self) -> int:
-        return sum(arr.size for _, _, arr in self.arrays())
+        return self.vector.size
 
     @property
     def dtype(self):
-        for _, _, arr in self.arrays():
-            return arr.dtype
-        raise ValidationError("empty parameter set")
+        return self.vector.dtype
+
+
+def _layout_size(layout: list[dict]) -> int:
+    return sum(math.prod(shape) for shapes in layout for shape in shapes.values())
 
 
 def _parameter_shapes(spec: NetworkSpec) -> list[dict]:
@@ -351,22 +373,26 @@ def _parameter_shapes(spec: NetworkSpec) -> list[dict]:
     return [layer.param_shapes(shape_in) for layer, shape_in in zip(spec.layers, inputs)]
 
 
+def _layout(shapes: list[dict]) -> list[dict]:
+    """The Parameters layout (name -> shape) of _parameter_shapes' output."""
+    return [{name: shape for name, (shape, _) in group.items()} for group in shapes]
+
+
 def init_parameters(spec: NetworkSpec, seed: int, dtype=np.float32) -> Parameters:
     """Glorot-uniform weights, zero biases, unit LayerNorm gains."""
     rng = np.random.default_rng(seed)
-    per_layer = []
-    for shapes in _parameter_shapes(spec):
-        group = {}
-        for name, (shape, fans) in shapes.items():
+    shapes = _parameter_shapes(spec)
+    layout = _layout(shapes)
+    params = Parameters(layout, np.zeros(_layout_size(layout), dtype=dtype))
+    for group, views in zip(shapes, params.layers):
+        for name, (shape, fans) in group.items():
             if fans is not None:
                 limit = np.sqrt(6.0 / (fans[0] + fans[1]))
-                group[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+                # assignment casting rounds exactly as astype would
+                views[name][...] = rng.uniform(-limit, limit, size=shape)
             elif name == "ln_gain":
-                group[name] = np.ones(shape, dtype=dtype)
-            else:
-                group[name] = np.zeros(shape, dtype=dtype)
-        per_layer.append(group)
-    return Parameters(per_layer)
+                views[name][...] = 1.0
+    return params
 
 
 # ---------------------------------------------------------------- passes
@@ -410,11 +436,13 @@ def network_backward(spec: NetworkSpec, params: Parameters, cache: NetworkCache,
     plus the input gradient.  Returns (grads: Parameters, dx)."""
     if cache.params_version != params.version:
         raise ValidationError("stale cache: parameters changed since the forward pass")
-    grads = [None] * len(spec.layers)
+    grads = params.zeros_like()
     d = dout
     for i in range(len(spec.layers) - 1, -1, -1):
-        d, grads[i] = spec.layers[i].backward(params.layers[i], d, cache.items[i])
-    return Parameters(grads), d
+        d, layer_grads = spec.layers[i].backward(params.layers[i], d, cache.items[i])
+        for name, g in layer_grads.items():
+            grads.layers[i][name][...] = g
+    return grads, d
 
 
 def forward_features(spec: NetworkSpec, params: Parameters, x: np.ndarray) -> np.ndarray:
@@ -442,20 +470,20 @@ def l2_penalty(spec: NetworkSpec, params: Parameters) -> float:
 
 
 def save_model(path, spec: NetworkSpec, params: Parameters) -> None:
-    """Header line, JSON spec line, then raw little-endian arrays in
-    deterministic order."""
+    """Header line, JSON spec line, then the parameter vector as raw
+    little-endian floats."""
     dtype = np.dtype(params.dtype)
     header = {"spec": spec.to_json_dict(), "dtype": dtype.name}
     with atomic_write(path, "wb") as fh:
         fh.write(MODEL_MAGIC + b"\n")
         fh.write(json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n")
-        for _, _, arr in params.arrays():
-            fh.write(np.ascontiguousarray(arr, dtype=dtype.newbyteorder("<")).tobytes())
+        fh.write(np.ascontiguousarray(params.vector, dtype=dtype.newbyteorder("<")))
 
 
 def load_model(path):
-    """Returns (spec, params).  Array shapes are re-derived from the spec,
-    so a truncated or oversized payload is detected exactly."""
+    """Returns (spec, params).  The payload size is re-derived from the
+    spec, so a truncated or oversized payload is detected exactly; a
+    non-finite parameter is refused."""
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
         if magic != MODEL_MAGIC:
@@ -470,21 +498,22 @@ def load_model(path):
             raise FormatError(f"bad model header: {exc}") from exc
         if dtype not in (np.float32, np.float64):
             raise FormatError(f"bad model header: dtype {dtype.name} is not float32 or float64")
-        filled = []
-        for shapes in _parameter_shapes(spec):
-            new = {}
-            for name in sorted(shapes):
-                shape = shapes[name][0]
-                n_bytes = int(np.prod(shape)) * dtype.itemsize
-                raw = fh.read(n_bytes)
-                if len(raw) != n_bytes:
-                    raise FormatError("truncated parameter payload")
-                new[name] = np.frombuffer(raw, dtype=dtype.newbyteorder("<")) \
-                    .astype(dtype).reshape(shape)
-            filled.append(new)
-        if fh.read(1):
+        layout = _layout(_parameter_shapes(spec))
+        count = _layout_size(layout)
+        n_bytes = count * dtype.itemsize
+        # sized against the file before anything is allocated, so a header
+        # declaring a huge network is refused, not read
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < n_bytes:
+            raise FormatError("truncated parameter payload")
+        if left > n_bytes:
             raise FormatError("trailing bytes after parameter payload")
-    return spec, Parameters(filled)
+        vector = np.empty(count, dtype=dtype.newbyteorder("<"))
+        fh.readinto(vector)
+    vector = vector.astype(dtype, copy=False)   # copies on big-endian hosts only
+    if not np.isfinite(vector).all():
+        raise FormatError("non-finite parameter in model payload")
+    return spec, Parameters(layout, vector)
 
 
 # ---------------------------------------------------------------- presets

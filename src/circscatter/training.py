@@ -75,29 +75,31 @@ def mse_grad(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    m: Parameters
-    v: Parameters
+    """First and second moments, one entry per entry of Parameters.vector."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
 def init_adam(params: Parameters) -> AdamState:
-    return AdamState(params.zeros_like(), params.zeros_like())
+    return AdamState(np.zeros_like(params.vector), np.zeros_like(params.vector))
 
 
 def clip_gradients(grads: Parameters, clip_norm: float | None) -> float:
     """Global-norm clipping across every array, in place.  Returns the
-    pre-clip global norm."""
-    total = 0.0
-    for _, _, g in grads.arrays():
-        total += float(np.sum(g.astype(np.float64) ** 2))
-    norm = math.sqrt(total)
+    pre-clip global norm.
+
+    The norm sums each array's float64 sum of squares in ``arrays()``
+    order; one sum over the whole vector would round differently and
+    change every clipped run's bytes."""
+    norm = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2))
+                         for _, _, g in grads.arrays()))
     if clip_norm is not None:
         if clip_norm <= 0:
             raise ValidationError("clip norm must be positive")
         if norm > clip_norm:
-            scale = clip_norm / norm
-            for _, _, g in grads.arrays():
-                g *= np.asarray(scale, dtype=g.dtype)
+            grads.vector *= np.asarray(clip_norm / norm, dtype=grads.dtype)
     return norm
 
 
@@ -106,14 +108,12 @@ def adam_step(params: Parameters, grads: Parameters, state: AdamState, lr: float
     state.t += 1
     b1t = 1.0 - ADAM_BETA1 ** state.t
     b2t = 1.0 - ADAM_BETA2 ** state.t
-    for (li, name, p), (_, _, g) in zip(params.arrays(), grads.arrays()):
-        m = state.m.layers[li][name]
-        v = state.v.layers[li][name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= (lr / b1t) * m / (np.sqrt(v / b2t) + ADAM_EPS)
+    g = grads.vector
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * g * g
+    params.vector -= (lr / b1t) * state.m / (np.sqrt(state.v / b2t) + ADAM_EPS)
     params.version += 1
 
 
@@ -285,7 +285,6 @@ def train(spec: NetworkSpec, features: np.ndarray, targets: np.ndarray,
             if wait >= config.patience:
                 break
     history.stopped_epoch = len(history.train_loss)
-    best_params.version = 0
     return best_params, history
 
 
@@ -442,25 +441,20 @@ def grad_check(spec: NetworkSpec | None = None, seed: int = 0, h: float = 1e-6,
                                  rng=np.random.default_rng(mask_seed))
     grads, _ = network_backward(spec, params, cache, grad_fn(out, y))
 
-    entries = []
-    worst = 0.0
-    for li, name, arr in params.arrays():
-        flat = arr.reshape(-1)
-        gflat = grads.layers[li][name].reshape(-1)
-        err = 0.0
-        for i in range(flat.size):
-            old = flat[i]
-            flat[i] = old + h
-            fp = loss_value()
-            flat[i] = old - h
-            fm = loss_value()
-            flat[i] = old
-            num = (fp - fm) / (2.0 * h)
-            denom = max(abs(gflat[i]), abs(num), 1e-8)
-            err = max(err, float(abs(gflat[i] - num) / denom))
-        entries.append(GradCheckEntry(li, name, err))
-        worst = max(worst, err)
-    return GradCheckReport(worst, entries, tolerance)
+    # a NaN gradient gives a NaN error here, and the array max keeps it
+    errors = grads.zeros_like()
+    flat, gflat = params.vector, grads.vector
+    for i in range(flat.size):
+        old = flat[i]
+        flat[i] = old + h
+        fp = loss_value()
+        flat[i] = old - h
+        fm = loss_value()
+        flat[i] = old
+        num = (fp - fm) / (2.0 * h)
+        errors.vector[i] = abs(gflat[i] - num) / max(abs(gflat[i]), abs(num), 1e-8)
+    entries = [GradCheckEntry(li, name, float(arr.max())) for li, name, arr in errors.arrays()]
+    return GradCheckReport(float(errors.vector.max()), entries, tolerance)
 
 
 def grad_check_all(seed: int = 0, h: float = 1e-6,

@@ -280,6 +280,39 @@ def test_wrongly_typed_scaler_exit_code(trained_run, tmp_path, member, key, valu
     assert "peanut.scaler.json" in capsys.readouterr().err
 
 
+def test_nonfinite_model_parameter_exit_code(trained_run, tmp_path, capsys):
+    # a .model whose last float32 parameter is NaN is refused on load:
+    # exit 4, not nan metrics (evaluate) or a misleading exit 2 (reconstruct)
+    out, data = trained_run
+    for name in ("peanut.model", "peanut.scaler.json"):
+        shutil.copy(out / name, tmp_path / name)
+    path = tmp_path / "peanut.model"
+    path.write_bytes(path.read_bytes()[:-4] + np.array(np.nan, dtype="<f4").tobytes())
+    rc = run("evaluate", "--model", str(tmp_path / "peanut"), "--data", str(data))
+    assert rc == 4
+    assert "non-finite parameter" in capsys.readouterr().err
+    rc = run("reconstruct", "--model", str(tmp_path / "peanut"), "--data", str(data),
+             "--out", str(tmp_path))
+    assert rc == 4
+    assert "non-finite parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, member, value", [
+    ("evaluate", "features", 0.0),
+    ("sweep", "targets", float("nan")),   # json writes a bare NaN token
+], ids=["feature-std-0", "target-std-nan"])
+def test_nonfinite_or_zero_scaler_std_exit_code(trained_run, tmp_path, command, member,
+                                                value, capsys):
+    out, data = trained_run
+    shutil.copy(out / "peanut.model", tmp_path / "peanut.model")
+    blob = json.loads((out / "peanut.scaler.json").read_text())
+    blob[member]["std"][0] = value
+    (tmp_path / "peanut.scaler.json").write_text(json.dumps(blob))
+    rc = run(command, "--model", str(tmp_path / "peanut"), "--data", str(data))
+    assert rc == 4
+    assert "std finite and > 0" in capsys.readouterr().err
+
+
 def test_sweep_command(trained_run, tmp_path, capsys):
     out, data = trained_run
     rc = run("sweep", "--model", str(out / "peanut"), "--data", str(data),

@@ -65,6 +65,12 @@ def test_config_validation():
         ScatterConfig(t0=33)
     with pytest.raises(errors.ValidationError):
         ScatterConfig(t_boundary=3)
+    # grid sizes are ints: a float or a bool is refused on construction,
+    # not later by generate_dataset
+    for bad in ({"t0": 32.0, "c0": 2.0}, {"t0": 32.0}, {"c0": 2.0}, {"t_boundary": 128.0},
+                {"c0": True}, {"t_boundary": np.int64(128)}):
+        with pytest.raises(errors.ValidationError, match="must be an int"):
+            ScatterConfig(**bad)
     cfg = ScatterConfig(c0=8, t0=128)
     assert len(cfg.phis) == 2
     # the incidences follow from c0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -98,11 +100,12 @@ def test_conv_matches_direct_sum():
 
 def test_conv_gradients_match_fd():
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((2, 6, 3))
-    w = rng.standard_normal((4, 5, 3))
-    b = rng.standard_normal(4)
-    for stride in (1, 2):
-        r = rng.standard_normal((2, layers.conv_output_length(6, stride), 4))
+    # strides 1-3, with K < T and with K > T (the taps wrap more than once)
+    for (t, k), stride in itertools.product(((6, 5), (5, 12)), (1, 2, 3)):
+        x = rng.standard_normal((2, t, 3))
+        w = rng.standard_normal((4, k, 3))
+        b = rng.standard_normal(4)
+        r = rng.standard_normal((2, layers.conv_output_length(t, stride), 4))
 
         def loss():
             y, _ = layers.circular_conv_forward(x, w, b, stride)

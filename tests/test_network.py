@@ -293,6 +293,30 @@ def test_model_roundtrip_bitexact(tmp_path):
         assert path.read_bytes() == path2.read_bytes()
 
 
+def test_parameters_live_in_one_vector(tmp_path):
+    spec = tiny_spec()
+    params = init_parameters(spec, seed=3)
+    # every array is a view of the vector, laid out in arrays() order
+    start = 0
+    for _, _, arr in params.arrays():
+        assert np.shares_memory(arr, params.vector)
+        npt.assert_array_equal(arr.reshape(-1), params.vector[start:start + arr.size])
+        start += arr.size
+    assert start == params.vector.size == params.num_params
+    params.layers[0]["b"][...] = 7.0
+    assert np.count_nonzero(params.vector == 7.0) == params.layers[0]["b"].size
+    # a copy owns its own vector and starts at version 0
+    params.version = 4
+    clone = params.copy()
+    assert clone.version == 0 and not np.shares_memory(clone.vector, params.vector)
+    clone.vector[:] = 0.0
+    npt.assert_array_equal(params.layers[0]["b"], 7.0)
+    # the .model payload is exactly the vector's little-endian bytes
+    path = tmp_path / "net.model"
+    save_model(path, spec, params)
+    assert path.read_bytes().split(b"\n", 2)[2] == params.vector.astype("<f4").tobytes()
+
+
 def test_model_file_errors(tmp_path):
     path = tmp_path / "bad.model"
     path.write_bytes(b"who-knows\n{}\n")
@@ -309,6 +333,17 @@ def test_model_file_errors(tmp_path):
     (tmp_path / "extra.model").write_bytes(blob + b"\x00")
     with pytest.raises(errors.FormatError, match="trailing"):
         load_model(tmp_path / "extra.model")
+    # a header declaring a huge layer is refused before any payload is read
+    magic, header, payload = blob.split(b"\n", 2)
+    big = json.loads(header)
+    big["spec"]["layers"][0]["filters"] = 10**12
+    (tmp_path / "big.model").write_bytes(
+        b"\n".join([magic, json.dumps(big).encode("ascii"), payload]))
+    with pytest.raises(errors.FormatError, match="truncated"):
+        load_model(tmp_path / "big.model")
+    (tmp_path / "inf.model").write_bytes(blob[:-4] + np.array(np.inf, "<f4").tobytes())
+    with pytest.raises(errors.FormatError, match="non-finite"):
+        load_model(tmp_path / "inf.model")
 
 
 def test_init_weights_bytes_pinned(tmp_path):

@@ -22,7 +22,6 @@ from circscatter.nncore import (
     Flatten,
     NetworkSpec,
     Output,
-    Parameters,
     init_parameters,
     save_model,
 )
@@ -317,6 +316,19 @@ def test_manifest_models_must_be_an_object(tmp_path, models):
         make_registry().save(tmp_path)
 
 
+class _DiskFullArray:
+    """Stands in for an array (a parameter vector, a dataset's labels);
+    reading it fails as a full disk would, after the writer has written
+    the file's header."""
+
+    dtype = np.dtype(np.float32)
+
+    def __array__(self, *args, **kwargs):
+        raise OSError("disk full")
+
+    __getitem__ = __array__
+
+
 def test_failed_artifact_writes_leave_previous_files(tmp_path, monkeypatch):
     registry = make_registry()
     registry.save(tmp_path)
@@ -325,17 +337,10 @@ def test_failed_artifact_writes_leave_previous_files(tmp_path, monkeypatch):
     def disk_full(*args, **kwargs):
         raise OSError("disk full")
 
-    real_arrays = Parameters.arrays
-
-    def first_array_then_disk_full(self):
-        yield next(real_arrays(self))
-        disk_full()
-
-    monkeypatch.setattr(Parameters, "arrays", first_array_then_disk_full)
-    with pytest.raises(OSError):  # .model write fails after its first array
-        save_model(tmp_path / "peanut.model", registry.regressors[1].spec,
-                   registry.regressors[1].params)
-    monkeypatch.setattr(Parameters, "arrays", real_arrays)
+    params = registry.regressors[1].params.copy()
+    params.vector = _DiskFullArray()
+    with pytest.raises(OSError):  # .model write fails after its header
+        save_model(tmp_path / "peanut.model", registry.regressors[1].spec, params)
     monkeypatch.setattr(json, "dump", disk_full)
     with pytest.raises(OSError):
         registry.regressors[1].save(tmp_path, "peanut")  # scaler write fails
@@ -344,21 +349,11 @@ def test_failed_artifact_writes_leave_previous_files(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-class _DiskFullTargets:
-    """Stands in for a dataset's labels; reading them fails as a full
-    disk would, after the header and the first features are written."""
-
-    def __array__(self, *args, **kwargs):
-        raise OSError("disk full")
-
-    __getitem__ = __array__
-
-
 def test_failed_dataset_write_leaves_previous_file(tmp_path):
     ds = Dataset(np.arange(256.0).reshape(4, 64), np.array([1, 2, 1, 2]), "class",
                  32, 2, (1, 2), ["0:0", "0:1", "0:2", "0:3"])
     broken = dataclasses.replace(ds)
-    broken.targets = _DiskFullTargets()
+    broken.targets = _DiskFullArray()  # after the first features
     for binary in (False, True):
         path = tmp_path / f"binary_{binary}.csc"
         dataio.write_dataset(path, ds, binary=binary)

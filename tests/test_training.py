@@ -14,6 +14,7 @@ from circscatter.nncore import (
     Output,
     init_parameters,
     layers,
+    network_backward,
     network_forward,
 )
 from circscatter.training import (
@@ -131,24 +132,65 @@ def test_adam_single_step_closed_form():
 
 
 def test_adam_multi_step_matches_reference_loop():
-    spec = lin_spec()
+    spec = training._gradcheck_spec()   # every layer kind, so every array name
     params = init_parameters(spec, 3, dtype=np.float64)
     state = init_adam(params)
-    w_ref = params.layers[1]["w"].copy()
-    m = np.zeros_like(w_ref)
-    v = np.zeros_like(w_ref)
+    refs = [arr.copy() for _, _, arr in params.arrays()]
+    ms = [np.zeros_like(p) for p in refs]
+    vs = [np.zeros_like(p) for p in refs]
     rng = np.random.default_rng(5)
     for t in range(1, 6):
-        g = rng.standard_normal(w_ref.shape)
         grads = params.zeros_like()
-        grads.layers[1]["w"][:] = g
+        for _, _, g in grads.arrays():
+            g[...] = rng.standard_normal(g.shape)
         adam_step(params, grads, state, lr=0.02)
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
-        mh = m / (1 - 0.9**t)
-        vh = v / (1 - 0.999**t)
-        w_ref -= 0.02 * mh / (np.sqrt(vh) + training.ADAM_EPS)
-    npt.assert_allclose(params.layers[1]["w"], w_ref, rtol=1e-12)
+        for p, m, v, (_, _, g) in zip(refs, ms, vs, grads.arrays()):
+            m[...] = 0.9 * m + 0.1 * g
+            v[...] = 0.999 * v + 0.001 * g * g
+            mh = m / (1 - 0.9**t)
+            vh = v / (1 - 0.999**t)
+            p -= 0.02 * mh / (np.sqrt(vh) + training.ADAM_EPS)
+    for (_, _, got), want in zip(params.arrays(), refs):
+        npt.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_clipped_float32_steps_match_per_array_reference():
+    # 20 float32 steps with a clip norm that fires on every step give the
+    # same bits as Adam and clipping applied array by array
+    spec = training._gradcheck_spec()
+    params = init_parameters(spec, 0)
+    state = init_adam(params)
+    refs = [arr.copy() for _, _, arr in params.arrays()]
+    ms = [np.zeros_like(p) for p in refs]
+    vs = [np.zeros_like(p) for p in refs]
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((4, spec.input_t, spec.input_c)).astype(np.float32)
+    y = rng.standard_normal((4, spec.output_dim)).astype(np.float32)
+    clip, lr = 1e-3, 1e-3
+    b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
+    for t in range(1, 21):
+        out, cache = network_forward(spec, params, x, mode="train",
+                                     rng=np.random.default_rng(t))
+        grads, _ = network_backward(spec, params, cache, mse_grad(out, y))
+        gs = [g.copy() for _, _, g in grads.arrays()]
+        norm = clip_gradients(grads, clip)
+        adam_step(params, grads, state, lr)
+        total = 0.0
+        for g in gs:
+            total += float(np.sum(g.astype(np.float64) ** 2))
+        assert norm == math.sqrt(total) > clip
+        scale = clip / norm
+        b1t, b2t = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for p, m, v, g in zip(refs, ms, vs, gs):
+            g *= np.asarray(scale, dtype=g.dtype)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= (lr / b1t) * m / (np.sqrt(v / b2t) + training.ADAM_EPS)
+        for (_, _, got), want in zip(params.arrays(), refs):
+            assert got.dtype == np.float32
+            npt.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------- config
@@ -341,6 +383,21 @@ def test_gradcheck_passes_all_layer_kinds():
 def test_gradcheck_passes_classification_loss():
     rep = grad_check(spec=training._gradcheck_class_spec(), seed=1)
     assert rep.passed
+
+
+def test_gradcheck_fails_on_nan_gradient(monkeypatch):
+    real = layers.dense_backward
+
+    def nan_bias_grad(dz, cache):
+        dx, dw, db = real(dz, cache)
+        db = db.copy()
+        db[0] = np.nan
+        return dx, dw, db
+
+    monkeypatch.setattr(layers, "dense_backward", nan_bias_grad)
+    rep = grad_check(seed=0)
+    assert not rep.passed
+    assert np.isnan(rep.max_rel_error)
 
 
 def test_gradcheck_detects_corrupted_backward(monkeypatch):
