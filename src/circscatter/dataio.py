@@ -211,6 +211,11 @@ class Dataset:
             self.targets = np.asarray(self.targets, dtype=np.float64)
             if self.targets.ndim != 2 or self.targets.shape[0] != len(self.features):
                 raise ValidationError("regression targets must be (n, p)")
+        # one pass over each array; integer labels are finite by type
+        finite = np.isfinite(self.features).all() and (
+            self.task == "class" or np.isfinite(self.targets).all())
+        if not finite:
+            raise ValidationError("features and targets must be finite")
 
     def __len__(self):
         return len(self.features)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ValidationError
 
@@ -36,8 +35,11 @@ def circular_pad(x: np.ndarray, kernel_size: int) -> np.ndarray:
     Padded row j holds X[(j - P_left) mod T], which also covers K > T by
     wrapping more than once.
     """
-    b, t, c = x.shape
+    t = x.shape[1]
     left, right = pad_lengths(kernel_size)
+    if kernel_size - 1 <= t:
+        # each wrapped tail is a slice of x
+        return np.concatenate((x[:, t - left:], x, x[:, :right]), axis=1)
     idx = (np.arange(-left, t + right)) % t
     return x[:, idx, :]
 
@@ -118,25 +120,33 @@ def circular_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: i
         raise ValidationError("bias shape must be (filters,)")
     if _use_fft(nb, k, stride):
         return _fft_conv_forward(x, w, b)
-    padded = circular_pad(x, k)
-    win = sliding_window_view(padded, k, axis=1)[:, ::stride]   # (B, T_out, C, K)
-    t_out = win.shape[1]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(nb * t_out, k * c)
-    y = cols @ w.reshape(nf, k * c).T + b
+    padded = np.ascontiguousarray(circular_pad(x, k))
+    t_out = conv_output_length(t, stride)
+    sb, st, sc = padded.strides
+    # window i, tap kk is padded row i*S + kk: a (B, T_out, K, C) strided
+    # view of padded's buffer (numpy checks that it fits), whose reshape is
+    # the one copy that lays the im2col rows out
+    win = np.ndarray((nb, t_out, k, c), padded.dtype, padded, 0, (sb, stride * st, st, sc))
+    cols = win.reshape(nb * t_out, k * c)
+    y = cols @ w.reshape(nf, k * c).T
+    y += b
     cache = (cols, (nb, t, c), w, stride, k)
     return y.reshape(nb, t_out, nf), cache
 
 
-def circular_conv_backward(dy: np.ndarray, cache):
-    """Returns (dx, dw, db)."""
+def circular_conv_backward(dy: np.ndarray, cache, need_dx: bool = True):
+    """Returns (dx, dw, db); dx is None when need_dx is false, and then
+    none of its work is done."""
     if isinstance(cache, _FFTCache):
-        return _fft_conv_backward(dy, cache)
+        return _fft_conv_backward(dy, cache, need_dx)
     cols, (nb, t, c), w, stride, k = cache
     nf = w.shape[0]
     t_out = dy.shape[1]
     dy2 = dy.reshape(nb * t_out, nf)
     db = dy2.sum(axis=0)
     dw = (dy2.T @ cols).reshape(nf, k, c)
+    if not need_dx:
+        return None, dw, db
     dcols = (dy2 @ w.reshape(nf, k * c)).reshape(nb, t_out, k, c)
     # padded row i*S + kk is row i + kk // S of residue plane kk % S, so
     # each tap is one slice add, whatever the stride
@@ -178,38 +188,57 @@ def _fft_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return y, _FFTCache(x_hat, g_hat, t, k)
 
 
-def _fft_conv_backward(dy: np.ndarray, cache: _FFTCache):
+def _fft_conv_backward(dy: np.ndarray, cache: _FFTCache, need_dx: bool):
     """dX^ = dY^ G^ and dG^ = sum over the batch of conj(dY^) X^; dW takes
     each tap's row of dG back out of the fold."""
     x_hat, g_hat, t, k = cache
     dtype = dy.dtype
     db = dy.sum(axis=(0, 1))
     dy_hat = np.fft.rfft(dy, axis=1).transpose(1, 0, 2)              # (F, B, N_f)
-    dx_hat = dy_hat @ g_hat.transpose(1, 0, 2)                        # (F, B, C)
-    dx = np.fft.irfft(dx_hat, n=t, axis=0).transpose(1, 0, 2)
+    dx = None
+    if need_dx:
+        dx_hat = dy_hat @ g_hat.transpose(1, 0, 2)                    # (F, B, C)
+        dx = np.fft.irfft(dx_hat, n=t, axis=0).transpose(1, 0, 2).astype(dtype, copy=False)
     dg_hat = dy_hat.transpose(0, 2, 1).conj() @ x_hat.transpose(1, 0, 2)   # (F, N_f, C)
     dg = np.fft.irfft(dg_hat, n=t, axis=0)                            # (T, N_f, C)
     dw = dg[_tap_rows(k, t)].transpose(1, 0, 2)
-    return dx.astype(dtype, copy=False), dw.astype(dtype, copy=False), db
+    return dx, dw.astype(dtype, copy=False), db
 
 
 # ---------------------------------------------------------------- activations
 
 
+# The activations below evaluate their textbook expression (in the
+# docstring) operation by operation, in the same operand order, into one
+# fresh buffer: the same bits as the expression, without its temporaries.
+# Their inputs are never written.  The scalars are Python floats, which
+# keep a float32 buffer float32 under numpy 1.x value-based casting too.
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z))."""
+    s = np.negative(z)
     # exp overflow only happens where the limit is exactly 0; silence it
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+        np.exp(s, out=s)
+    np.add(1.0, s, out=s)
+    return np.divide(1.0, s, out=s)
 
 
 def swish_forward(z: np.ndarray):
+    """z * sigmoid(z); the cache is (z, sigmoid(z))."""
     s = sigmoid(z)
     return z * s, (z, s)
 
 
 def swish_backward(dy: np.ndarray, cache):
+    """dy * (s * (1 + z * (1 - s))) with (z, s) from the cache."""
     z, s = cache
-    return dy * (s * (1.0 + z * (1.0 - s)))
+    g = np.subtract(1.0, s)
+    np.multiply(z, g, out=g)
+    np.add(1.0, g, out=g)
+    np.multiply(s, g, out=g)
+    return np.multiply(dy, g, out=g)
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
@@ -228,9 +257,11 @@ def softmax_backward(dy: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 def layer_norm_forward(h: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = LN_EPS):
     """Normalize over the last axis, then apply the learnable affine map."""
-    mu = h.mean(axis=-1, keepdims=True)
+    d = h.shape[-1]
+    # np.add.reduce(...) / d has the bits of mean(), without its overhead
+    mu = np.add.reduce(h, axis=-1, keepdims=True) / d
     xc = h - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     return gain * xhat + shift, (xhat, inv, gain)
@@ -242,8 +273,8 @@ def layer_norm_backward(dy: np.ndarray, cache):
     dgain = (dy * xhat).reshape(-1, d).sum(axis=0)
     dshift = dy.reshape(-1, d).sum(axis=0)
     dxhat = dy * gain
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+    m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
     dh = inv * (dxhat - m1 - xhat * m2)
     return dh, dgain, dshift
 

@@ -47,7 +47,9 @@ class LayerSpec:
       init_parameters draws them, fans being (fan_in, fan_out) for Glorot
       weights and None for biases and LayerNorm terms;
     - ``forward(group, h, rng, train)`` -> (output, cache);
-    - ``backward(group, d, cache)`` -> (input gradient, parameter grads).
+    - ``backward(group, d, cache, need_dx)`` -> (input gradient, parameter
+      grads); when ``need_dx`` is false the input gradient is not wanted,
+      and a kind may skip its work and return None in its place.
     """
 
     kind: ClassVar[str]
@@ -76,10 +78,10 @@ class Conv(LayerSpec):
         h, sw_cache = layers.swish_forward(z)
         return h, (conv_cache, sw_cache)
 
-    def backward(self, group, d, cache):
+    def backward(self, group, d, cache, need_dx):
         conv_cache, sw_cache = cache
         dz = layers.swish_backward(d, sw_cache)
-        d, dw, db = layers.circular_conv_backward(dz, conv_cache)
+        d, dw, db = layers.circular_conv_backward(dz, conv_cache, need_dx)
         return d, {"w": dw, "b": db}
 
 
@@ -109,7 +111,7 @@ class Attention(LayerSpec):
     def forward(self, group, h, rng, train):
         return layers.attention_forward(h, group)
 
-    def backward(self, group, d, cache):
+    def backward(self, group, d, cache, need_dx):
         return layers.attention_backward(d, cache)
 
 
@@ -134,7 +136,7 @@ class Bottleneck(LayerSpec):
     def forward(self, group, h, rng, train):
         return layers.bottleneck_forward(h, group["w"], group["b"])
 
-    def backward(self, group, d, cache):
+    def backward(self, group, d, cache, need_dx):
         d, dw, db = layers.bottleneck_backward(d, cache)
         return d, {"w": dw, "b": db}
 
@@ -152,7 +154,7 @@ class Flatten(LayerSpec):
     def forward(self, group, h, rng, train):
         return h.reshape(h.shape[0], -1), h.shape
 
-    def backward(self, group, d, cache):
+    def backward(self, group, d, cache, need_dx):
         return d.reshape(cache), {}
 
 
@@ -192,7 +194,7 @@ class Dense(LayerSpec):
         h, drop_cache = layers.dropout_forward(h, self.dropout, rng, train)
         return h, (dense_cache, sw_cache, ln_cache, drop_cache)
 
-    def backward(self, group, d, cache):
+    def backward(self, group, d, cache, need_dx):
         dense_cache, sw_cache, ln_cache, drop_cache = cache
         d = layers.dropout_backward(d, drop_cache)
         grads = {}
@@ -233,7 +235,7 @@ class Output(LayerSpec):
         probs = layers.softmax(z) if self.activation == "softmax" else None
         return (z if probs is None else probs), (dense_cache, probs)
 
-    def backward(self, group, d, cache):
+    def backward(self, group, d, cache, need_dx):
         dense_cache, probs = cache
         dz = layers.softmax_backward(d, probs) if probs is not None else d
         d, dw, db = layers.dense_backward(dz, dense_cache)
@@ -432,17 +434,18 @@ def network_forward(spec: NetworkSpec, params: Parameters, x: np.ndarray,
 
 def network_backward(spec: NetworkSpec, params: Parameters, cache: NetworkCache,
                      dout: np.ndarray):
-    """Gradients of the loss w.r.t. every parameter (L2 terms included)
-    plus the input gradient.  Returns (grads: Parameters, dx)."""
+    """Gradients of the loss w.r.t. every parameter (L2 terms included),
+    as a Parameters of the same layout.  The gradient w.r.t. the network
+    input is not computed: layer 0 is told it is not wanted."""
     if cache.params_version != params.version:
         raise ValidationError("stale cache: parameters changed since the forward pass")
     grads = params.zeros_like()
     d = dout
     for i in range(len(spec.layers) - 1, -1, -1):
-        d, layer_grads = spec.layers[i].backward(params.layers[i], d, cache.items[i])
+        d, layer_grads = spec.layers[i].backward(params.layers[i], d, cache.items[i], i > 0)
         for name, g in layer_grads.items():
             grads.layers[i][name][...] = g
-    return grads, d
+    return grads
 
 
 def forward_features(spec: NetworkSpec, params: Parameters, x: np.ndarray) -> np.ndarray:

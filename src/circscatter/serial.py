@@ -24,13 +24,19 @@ def format_double(x: float) -> str:
     return format(x, ".17g")
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"bare {token} is not a JSON number")
+
+
 def read_json_object(path) -> dict:
     """Parse a config, scaler or manifest file; text that is not UTF-8
-    JSON, or JSON that is not an object, is a FormatError."""
+    JSON (a bare NaN, Infinity or -Infinity included), or JSON that is
+    not an object, is a FormatError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            data = json.load(fh, parse_constant=_refuse_constant)
+        # JSONDecodeError, UnicodeDecodeError or a refused constant
+        except ValueError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object, got {type(data).__name__}")

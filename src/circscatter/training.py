@@ -91,10 +91,16 @@ def clip_gradients(grads: Parameters, clip_norm: float | None) -> float:
     pre-clip global norm.
 
     The norm sums each array's float64 sum of squares in ``arrays()``
-    order; one sum over the whole vector would round differently and
-    change every clipped run's bytes."""
-    norm = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2))
-                         for _, _, g in grads.arrays()))
+    order, taken over that array's slice of one squared float64 copy of
+    the vector; one sum over the whole vector would round differently
+    and change every clipped run's bytes."""
+    sq = grads.vector.astype(np.float64)
+    sq *= sq
+    total, start = 0.0, 0
+    for _, _, g in grads.arrays():
+        total += float(np.sum(sq[start:start + g.size]))
+        start += g.size
+    norm = math.sqrt(total)
     if clip_norm is not None:
         if clip_norm <= 0:
             raise ValidationError("clip norm must be positive")
@@ -104,16 +110,30 @@ def clip_gradients(grads: Parameters, clip_norm: float | None) -> float:
 
 
 def adam_step(params: Parameters, grads: Parameters, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place:
+
+        m = b1 m + (1 - b1) g
+        v = b2 v + (1 - b2) g g
+        p -= (lr / (1 - b1^t)) m / (sqrt(v / (1 - b2^t)) + eps)
+
+    each evaluated in that operand order through two scratch vectors."""
     state.t += 1
     b1t = 1.0 - ADAM_BETA1 ** state.t
     b2t = 1.0 - ADAM_BETA2 ** state.t
-    g = grads.vector
-    state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * g
-    state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * g * g
-    params.vector -= (lr / b1t) * state.m / (np.sqrt(state.v / b2t) + ADAM_EPS)
+    g, m, v = grads.vector, state.m, state.v
+    a = np.multiply(1.0 - ADAM_BETA1, g)
+    m *= ADAM_BETA1
+    m += a
+    np.multiply(1.0 - ADAM_BETA2, g, out=a)
+    a *= g
+    v *= ADAM_BETA2
+    v += a
+    np.divide(v, b2t, out=a)
+    np.sqrt(a, out=a)
+    a += ADAM_EPS
+    step = np.multiply(lr / b1t, m)
+    step /= a
+    params.vector -= step
     params.version += 1
 
 
@@ -250,7 +270,7 @@ def train(spec: NetworkSpec, features: np.ndarray, targets: np.ndarray,
             batch_loss = loss_fn(out, yb) + penalty
             if not math.isfinite(batch_loss):
                 raise NumericError("non-finite training loss", epoch=epoch, batch=bi)
-            grads, _ = network_backward(spec, params, cache, grad_fn(out, yb))
+            grads = network_backward(spec, params, cache, grad_fn(out, yb))
             clip_gradients(grads, config.clip_norm)
             adam_step(params, grads, state, config.learning_rate)
             run_loss += batch_loss * len(idx)
@@ -439,7 +459,7 @@ def grad_check(spec: NetworkSpec | None = None, seed: int = 0, h: float = 1e-6,
 
     out, cache = network_forward(spec, params, x, mode="train",
                                  rng=np.random.default_rng(mask_seed))
-    grads, _ = network_backward(spec, params, cache, grad_fn(out, y))
+    grads = network_backward(spec, params, cache, grad_fn(out, y))
 
     # a NaN gradient gives a NaN error here, and the array max keeps it
     errors = grads.zeros_like()

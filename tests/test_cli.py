@@ -297,20 +297,51 @@ def test_nonfinite_model_parameter_exit_code(trained_run, tmp_path, capsys):
     assert "non-finite parameter" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, member, value", [
-    ("evaluate", "features", 0.0),
-    ("sweep", "targets", float("nan")),   # json writes a bare NaN token
-], ids=["feature-std-0", "target-std-nan"])
+@pytest.mark.parametrize("command, member, text, message", [
+    ("evaluate", "features", "0.0", "std finite and > 0"),
+    # a bare NaN token is refused by the JSON reader, while a number too
+    # large for a double parses as inf and reaches the scaler's own check
+    ("sweep", "targets", "NaN", "bare NaN is not a JSON number"),
+    ("sweep", "targets", "1e999", "std finite and > 0"),
+], ids=["feature-std-0", "target-std-nan", "target-std-overflow"])
 def test_nonfinite_or_zero_scaler_std_exit_code(trained_run, tmp_path, command, member,
-                                                value, capsys):
+                                                text, message, capsys):
     out, data = trained_run
     shutil.copy(out / "peanut.model", tmp_path / "peanut.model")
     blob = json.loads((out / "peanut.scaler.json").read_text())
-    blob[member]["std"][0] = value
-    (tmp_path / "peanut.scaler.json").write_text(json.dumps(blob))
+    blob[member]["std"][0] = "@"
+    (tmp_path / "peanut.scaler.json").write_text(json.dumps(blob).replace('"@"', text))
     rc = run(command, "--model", str(tmp_path / "peanut"), "--data", str(data))
     assert rc == 4
-    assert "std finite and > 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_nonfinite_dataset_value_exit_code(trained_run, tmp_path, capsys):
+    # a binary dataset whose last target is NaN is refused on read: exit 4,
+    # not "RMSE nan" and exit 0
+    out, data = trained_run
+    bad = tmp_path / "bad.csc"
+    bad.write_bytes(data.read_bytes()[:-8] + np.array(np.nan, dtype="<f8").tobytes())
+    rc = run("evaluate", "--model", str(out / "peanut"), "--data", str(bad))
+    assert rc == 4
+    assert "features and targets must be finite" in capsys.readouterr().err
+
+
+def test_bare_nan_in_config_or_manifest_exit_code(tmp_path, capsys):
+    # json reads a bare NaN as a float; a config or manifest holding one is
+    # refused (exit 4) before anything trains on it
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"suite": "peanut", "lr": NaN, "epochs": 2}')
+    rc = run("train", "--config", str(cfg), "--scale", "0.0004", "--out", str(tmp_path))
+    assert rc == 4
+    assert "bare NaN is not a JSON number" in capsys.readouterr().err
+    (tmp_path / "manifest.json").write_text(
+        '{"format": "circscatter-registry-v1", "models": {}, "seed": NaN}')
+    rc = run("train", "--suite", "peanut", "--scale", "0.0004", "--epochs", "1",
+             "--patience", "1", "--noise-levels", "0.01", "--trials", "1",
+             "--out", str(tmp_path))
+    assert rc == 4
+    assert "manifest.json" in capsys.readouterr().err
 
 
 def test_sweep_command(trained_run, tmp_path, capsys):

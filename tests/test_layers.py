@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from circscatter import errors
 from circscatter.nncore import Attention, Conv, init_parameters, layers, preset_spec
@@ -34,6 +35,9 @@ def test_circular_pad_known_rows():
     npt.assert_array_equal(padded[0, :, 0], [3, 0, 1, 2, 3, 0, 1])
     padded = layers.circular_pad(x, 1)
     npt.assert_array_equal(padded, x)
+    # K - 1 == T: the longest pad whose wrapped tails are slices of x
+    padded = layers.circular_pad(x, 5)
+    npt.assert_array_equal(padded[0, :, 0], [2, 3, 0, 1, 2, 3, 0, 1])
     # kernel longer than the signal wraps more than once
     padded = layers.circular_pad(x, 9)
     npt.assert_array_equal(padded[0, :, 0], [0, 1, 2, 3] * 3)
@@ -116,6 +120,41 @@ def test_conv_gradients_match_fd():
         npt.assert_allclose(dx, fd_grad(loss, x), atol=1e-8)
         npt.assert_allclose(dw, fd_grad(loss, w), atol=1e-8)
         npt.assert_allclose(db, fd_grad(loss, b), atol=1e-8)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_columns_match_sliding_window_construction(dtype):
+    # the im2col rows come from one strided view of the padded input; they
+    # and the output equal the index-padded sliding_window_view + transpose
+    # + copy construction bit for bit, for C-ordered and transposed inputs,
+    # and no argument or cache entry is written
+    rng = np.random.default_rng(11)
+    cases = itertools.product(((6, 5), (5, 12), (7, 1)), (1, 2, 3), (False, True))
+    for (t, k), stride, transposed in cases:
+        x = rng.standard_normal((2, t, 3)).astype(dtype)
+        if transposed:
+            x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+        w = rng.standard_normal((4, k, 3)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        dy = rng.standard_normal((2, layers.conv_output_length(t, stride), 4)).astype(dtype)
+        before = [a.copy() for a in (x, w, b, dy)]
+        y, cache = layers.circular_conv_forward(x, w, b, stride)
+        left, right = layers.pad_lengths(k)
+        padded = x[:, np.arange(-left, t + right) % t]
+        win = sliding_window_view(padded, k, axis=1)[:, ::stride]
+        cols = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(-1, k * 3)
+        want = (cols @ w.reshape(4, k * 3).T + b).reshape(y.shape)
+        assert cache[0].dtype == y.dtype == dtype
+        assert cache[0].tobytes() == cols.tobytes(), (t, k, stride)
+        assert y.tobytes() == want.tobytes(), (t, k, stride)
+        full = layers.circular_conv_backward(dy, cache)
+        # without the input gradient: the same dw and db, and dx is None
+        skipped = layers.circular_conv_backward(dy, cache, need_dx=False)
+        assert skipped[0] is None and full[0].dtype == dtype
+        assert [g.tobytes() for g in skipped[1:]] == [g.tobytes() for g in full[1:]]
+        for a, copy in zip((x, w, b, dy), before):
+            assert a.tobytes() == copy.tobytes()
+        assert cache[0].tobytes() == cols.tobytes()
 
 
 def test_conv_channel_mismatch():
@@ -277,6 +316,30 @@ def test_swish_values_and_gradient():
 
     _, cache = layers.swish_forward(z)
     npt.assert_allclose(layers.swish_backward(r, cache), fd_grad(loss, z), atol=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_activations_match_textbook_expressions_bitwise(dtype):
+    # sigmoid, swish and its backward evaluate in place into one fresh
+    # buffer: the same bits and dtype as the textbook expressions, and
+    # neither the inputs nor the swish cache are written
+    rng = np.random.default_rng(12)
+    z = (4.0 * rng.standard_normal((3, 7, 5))).astype(dtype)
+    z.flat[:5] = [0.0, -1e4, 1e4, -100.0, 100.0]   # exp(-z) overflows at -1e4
+    dy = rng.standard_normal(z.shape).astype(dtype)
+    z_before, dy_before = z.copy(), dy.copy()
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-z))
+    y, cache = layers.swish_forward(z)
+    cache_before = [a.copy() for a in cache]
+    dz = layers.swish_backward(dy, cache)
+    for got, want in ((layers.sigmoid(z), s), (y, z * s),
+                      (dz, dy * (s * (1.0 + z * (1.0 - s))))):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+    assert cache[0] is z and cache[1].tobytes() == s.tobytes()
+    assert z.tobytes() == z_before.tobytes() and dy.tobytes() == dy_before.tobytes()
+    assert all(a.tobytes() == c.tobytes() for a, c in zip(cache, cache_before))
 
 
 def test_swish_float32_extremes_are_finite():

@@ -17,6 +17,7 @@ from circscatter.nncore import (
     forward_features,
     init_parameters,
     l2_penalty,
+    layers,
     load_model,
     network_backward,
     network_forward,
@@ -223,7 +224,7 @@ def test_composed_network_gradients_match_fd():
 
     out, cache = network_forward(spec, params, x, mode="train",
                                  rng=np.random.default_rng(mask_seed))
-    grads, dx = network_backward(spec, params, cache, r)
+    grads = network_backward(spec, params, cache, r)
 
     h = 1e-6
     for li, name, arr in params.arrays():
@@ -239,6 +240,35 @@ def test_composed_network_gradients_match_fd():
             flat[i] = old
             num = (fp - fm) / (2 * h)
             assert abs(g[i] - num) <= 1e-6 * max(1.0, abs(num)), (li, name, i)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_leaves_out_only_the_input_gradient(dtype, monkeypatch):
+    # network_backward tells layer 0 its input gradient is not wanted, and
+    # its parameter gradients equal a full backward that computes every dx
+    spec = tiny_spec("reg")
+    params = init_parameters(spec, seed=3, dtype=dtype)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((5, 8, 2)).astype(dtype)
+    r = rng.standard_normal((5, 3)).astype(dtype)
+    out, cache = network_forward(spec, params, x, mode="train",
+                                 rng=np.random.default_rng(6))
+    want = params.zeros_like()
+    d = r
+    for i in range(len(spec.layers) - 1, -1, -1):
+        d, layer_grads = spec.layers[i].backward(params.layers[i], d, cache.items[i], True)
+        for name, g in layer_grads.items():
+            want.layers[i][name][...] = g
+    assert d.shape == x.shape and d.dtype == dtype
+    wanted = []
+    real = layers.circular_conv_backward
+    monkeypatch.setattr(layers, "circular_conv_backward",
+                        lambda dy, c, need_dx=True: wanted.append(need_dx) or real(dy, c, need_dx))
+    grads = network_backward(spec, params, cache, r)
+    # the attention mix conv, conv 1, then conv 0 without its dx
+    assert wanted == [True, True, False]
+    assert grads.dtype == dtype
+    assert grads.vector.tobytes() == want.vector.tobytes()
 
 
 def test_backward_rejects_stale_cache():

@@ -16,6 +16,7 @@ from circscatter.nncore import (
     layers,
     network_backward,
     network_forward,
+    preset_spec,
 )
 from circscatter.training import (
     AdamState,
@@ -117,6 +118,20 @@ def test_clip_gradients_global_norm():
         clip_gradients(grads, 0.0)
 
 
+def test_clip_norm_matches_per_array_reference():
+    # one squared float64 copy of the vector, summed array by array in
+    # arrays() order, gives the bits of each array's own sum of squares
+    rng = np.random.default_rng(9)
+    for name in ("ap2", "ap10"):
+        grads = init_parameters(preset_spec(name), 0).zeros_like()
+        grads.vector[:] = rng.standard_normal(grads.num_params).astype(np.float32)
+        before = grads.vector.copy()
+        want = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2))
+                             for _, _, g in grads.arrays()))
+        assert clip_gradients(grads, None) == want
+        assert grads.vector.tobytes() == before.tobytes()
+
+
 def test_adam_single_step_closed_form():
     spec = lin_spec()
     params = init_parameters(spec, 0, dtype=np.float64)
@@ -171,7 +186,7 @@ def test_clipped_float32_steps_match_per_array_reference():
     for t in range(1, 21):
         out, cache = network_forward(spec, params, x, mode="train",
                                      rng=np.random.default_rng(t))
-        grads, _ = network_backward(spec, params, cache, mse_grad(out, y))
+        grads = network_backward(spec, params, cache, mse_grad(out, y))
         gs = [g.copy() for _, _, g in grads.arrays()]
         norm = clip_gradients(grads, clip)
         adam_step(params, grads, state, lr)
