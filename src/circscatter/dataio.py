@@ -201,7 +201,12 @@ class Dataset:
         if len(self.shape_ids) != len(self.features):
             raise ValidationError("one shape_id per row required")
         if self.task == "class":
-            self.targets = np.asarray(self.targets, dtype=np.int64)
+            labels = np.asarray(self.targets)
+            # a NaN, fractional or out-of-range label casts to some other value
+            with np.errstate(invalid="ignore"):
+                self.targets = labels.astype(np.int64)
+            if not np.array_equal(self.targets, labels):
+                raise ValidationError("class labels must be integer values")
             if self.targets.shape != (len(self.features),):
                 raise ValidationError("class targets must be a label vector")
             bad = set(np.unique(self.targets)) - set(self.classes)

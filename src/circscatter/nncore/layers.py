@@ -9,6 +9,7 @@ training uses float32 and gradient verification float64.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -74,35 +75,31 @@ def conv_output_length(t: int, stride: int) -> int:
 
 
 def _use_fft(nb: int, k: int, stride: int) -> bool:
-    """The one algorithm choice of circular_conv_forward: the FFT path for
-    stride-1 convolutions with a long kernel at a large enough batch,
-    im2col everywhere else.
+    """The one algorithm choice of circular_conv_forward: FFT for stride-1
+    convs with a long kernel at a large enough batch, im2col elsewhere.
 
-    im2col costs about B*T*K*C*N_f multiply-adds.  The FFT path costs
-    three length-T transforms per sample and channel and B*C*N_f complex
-    products per frequency, whatever K, plus a fixed transform of the
-    N_f*C folded filter taps that the batch amortizes.  Both grow with T,
-    and their main terms with C*N_f, so the crossover is mostly a product
-    B*K; it was measured at T=64, C=N_f=128 only, with
-    ``perfbench/run.py --profile ap10 --batch B`` on a 2-vCPU VM at one
-    BLAS thread, median of two runs (ap7, same shapes, agrees within the
-    VM's noise).  Forward/backward ms, im2col -> FFT:
+    im2col costs about B*T*K*C*N_f multiply-adds; the FFT path's DFT GEMMs
+    and per-frequency channel products do not grow with K, and its filter
+    spectrum is paid once per batch, so the crossover is mostly a product
+    B*K.  Forward/backward ms, im2col -> FFT, at T=64, C=N_f=128
+    (``perfbench/run.py --profile ap10 --batch B``, 2-vCPU VM, one BLAS
+    thread, median of five runs):
 
-        B     K=15                       K=31
-        1     0.8/1.1   -> 12.5/9.5      1.6/2.1   -> 12.7/9.9
-        16    8.4/13.7  -> 14.9/11.1     16.3/29.2 -> 15.2/12.7
-        32    15.8/26.7 -> 19.0/15.1     29.0/52.9 -> 19.4/16.2
-        50    27.5/49.6 -> 22.4/18.5     55.0/99.6 -> 21.3/18.9
-        128   64.8/120  -> 42.2/42.5     136/245   -> 42.7/47.7
-        160   78.2/155  -> 45.4/49.2     156/300   -> 45.2/47.6
+        B     K=15                    K=31
+        1     0.79/1.15 -> 2.95/4.84  1.47/2.53 -> 2.93/5.22
+        4     1.87/3.08 -> 4.97/4.04  3.81/6.20 -> 4.89/4.89
+        8     4.02/7.41 -> 5.08/4.93  7.71/14.2 -> 4.56/5.76
+        12    5.62/9.82 -> 5.08/5.82  10.7/19.9 -> 5.00/6.99
+        50    22.1/40.6 -> 10.0/11.2  40.4/89.1 -> 10.5/11.5
+        160   83.6/166  -> 25.4/33.6  170/324   -> 25.6/36.5
 
-    The forward crossover, which evaluation sees alone, is near B=45 for
-    K=15 and B=16-20 for K=31, so B*K >= 640.  Below K=15 (every layer
-    of ap1/ap2/ap4, the first two of ap7/ap10 and the attention mix) the
-    FFT path's per-sample cost, which does not shrink with K, loses to the
-    short im2col GEMM; a strided conv is not a circular correlation.
+    The forward crossover, which evaluation sees alone, is near B=11 for
+    K=15 and B=5 for K=31: B*K >= 160, and batch 1 stays on im2col.  Below
+    K=15 (ap1/ap2/ap4, ap7/ap10's first two layers, the attention mix)
+    im2col stays, keeping those presets' trained bits; a strided conv is
+    not a circular correlation.
     """
-    return stride == 1 and k >= 15 and nb * k >= 640
+    return stride == 1 and k >= 15 and nb * k >= 160
 
 
 def circular_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
@@ -164,45 +161,65 @@ class _FFTCache(NamedTuple):
     k: int
 
 
-def _tap_rows(k: int, t: int) -> np.ndarray:
-    """Row of the length-t circular filter that tap k lands on: (k - P_left) mod t."""
-    return (np.arange(k) - pad_lengths(k)[0]) % t
+@functools.lru_cache(maxsize=None)
+def _dft_tables(t: int, k: int, dtype: np.dtype):
+    """Read-only DFT matrices (fwd, inv, fwd_taps, inv_taps) in dtype.  fwd
+    (2F, t) stacks rfft's cos rows over its -sin rows; inv (t, 2F) maps the
+    stacked parts back as irfft does (weight 1/t at DC and even t's Nyquist,
+    2/t elsewhere, their imaginary parts ignored); fwd_taps and inv_taps are
+    fwd's columns and inv's rows where the k taps land, (k - P_left) mod t."""
+    f = t // 2 + 1
+    angle = (2.0 * np.pi / t) * (np.outer(np.arange(f), np.arange(t)) % t)
+    fwd = np.concatenate([np.cos(angle), -np.sin(angle)])
+    fwd[np.abs(fwd) < 1e-12] = 0.0   # cos(pi/2), sin(pi), ... round to ~1e-16
+    bins = np.arange(f)
+    inv = fwd.T * (np.tile(np.where((bins == 0) | (2 * bins == t), 1.0, 2.0), 2) / t)
+    rows = (np.arange(k) - pad_lengths(k)[0]) % t
+    tables = tuple(m.astype(dtype) for m in (fwd, inv, fwd[:, rows], inv[rows]))
+    for m in tables:
+        m.setflags(write=False)
+    return tables
+
+
+def _rdft(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Complex (..., F, C) spectrum of x (..., R, C): one GEMM with fwd or fwd_taps."""
+    parts, f = table @ x, table.shape[0] // 2
+    spec = np.empty(parts.shape[:-2] + (f, parts.shape[-1]), np.result_type(parts, np.complex64))
+    spec.real, spec.imag = parts[..., :f, :], parts[..., f:, :]
+    return spec
+
+
+def _irdft(table: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    """Real (R, M, C) signal of a (F, M, C) spectrum: inv or inv_taps times its parts."""
+    parts = np.stack((spec.real, spec.imag)).reshape(2 * len(spec), -1)
+    return (table @ parts).reshape((len(table),) + spec.shape[1:])
 
 
 def _fft_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Stride-1 circular conv as a circular correlation with the taps folded
-    mod T: Y^[f] = X^[f] conj(G^[f]) per frequency, summed over channels."""
-    nf, k, c = w.shape
-    t = x.shape[1]
-    rows = _tap_rows(k, t)
-    g = np.zeros((nf, t, c), dtype=w.dtype)
-    for s in range(0, k, t):   # K > T wraps the taps more than once
-        g[:, rows[s:s + t]] += w[:, s:s + t]
-    g_hat = np.fft.rfft(g, axis=1)
-    x_hat = np.fft.rfft(x, axis=1)
+    mod T: Y^[f] = X^[f] conj(G^[f]) per frequency, summed over channels.
+    Transforms are GEMMs with _dft_tables; G^ is taken from the taps."""
+    k, t = w.shape[1], x.shape[1]
+    fwd, inv, fwd_taps, _ = _dft_tables(t, k, np.result_type(x, w))
+    g_hat, x_hat = _rdft(fwd_taps, w), _rdft(fwd, x)
     # one (B, C) @ (C, N_f) product per frequency
-    y_hat = x_hat.transpose(1, 0, 2) @ g_hat.transpose(1, 2, 0).conj()
-    y = np.fft.irfft(y_hat, n=t, axis=0).transpose(1, 0, 2)
-    # older numpy transforms float32 in float64
-    y = y.astype(np.result_type(x, w), copy=False) + b
+    y = _irdft(inv, x_hat.transpose(1, 0, 2) @ g_hat.transpose(1, 2, 0).conj())
+    y = y.transpose(1, 0, 2)
+    y += b
     return y, _FFTCache(x_hat, g_hat, t, k)
 
 
 def _fft_conv_backward(dy: np.ndarray, cache: _FFTCache, need_dx: bool):
-    """dX^ = dY^ G^ and dG^ = sum over the batch of conj(dY^) X^; dW takes
-    each tap's row of dG back out of the fold."""
+    """dX^ = dY^ G^ and dG^ = sum over the batch of conj(dY^) X^; dW is
+    the inverse of dG^ at the taps' rows only."""
     x_hat, g_hat, t, k = cache
-    dtype = dy.dtype
-    db = dy.sum(axis=(0, 1))
-    dy_hat = np.fft.rfft(dy, axis=1).transpose(1, 0, 2)              # (F, B, N_f)
+    fwd, inv, _, inv_taps = _dft_tables(t, k, dy.dtype)
+    dy_hat = _rdft(fwd, dy).transpose(1, 0, 2)                       # (F, B, N_f)
     dx = None
     if need_dx:
-        dx_hat = dy_hat @ g_hat.transpose(1, 0, 2)                    # (F, B, C)
-        dx = np.fft.irfft(dx_hat, n=t, axis=0).transpose(1, 0, 2).astype(dtype, copy=False)
+        dx = _irdft(inv, dy_hat @ g_hat.transpose(1, 0, 2)).transpose(1, 0, 2)
     dg_hat = dy_hat.transpose(0, 2, 1).conj() @ x_hat.transpose(1, 0, 2)   # (F, N_f, C)
-    dg = np.fft.irfft(dg_hat, n=t, axis=0)                            # (T, N_f, C)
-    dw = dg[_tap_rows(k, t)].transpose(1, 0, 2)
-    return dx, dw.astype(dtype, copy=False), db
+    return dx, _irdft(inv_taps, dg_hat).transpose(1, 0, 2), dy.sum(axis=(0, 1))
 
 
 # ---------------------------------------------------------------- activations

@@ -639,6 +639,7 @@ def run_experiment(suite: str, out_dir=None, scale: float = 1.0, seed: int = 0,
     ``train_overrides`` update the preset TrainConfig fields."""
     s = suite_spec(suite)
     spec = preset_spec(s.preset)
+    cfg = preset_train_config(s.preset, seed=seed, **(train_overrides or {}))
     if data is None:
         ds = suite_dataset(suite, scale, seed)
     elif isinstance(data, Dataset):
@@ -655,7 +656,6 @@ def run_experiment(suite: str, out_dir=None, scale: float = 1.0, seed: int = 0,
         target_scaler = Standardizer.fit(ds.targets[split.train])
         y = target_scaler.apply(ds.targets)
 
-    cfg = preset_train_config(s.preset, seed=seed, **(train_overrides or {}))
     params, history = train(spec, feature_scaler.apply(ds.features), y, split, cfg,
                             classes=ds.classes, verbose=verbose)
     model = TrainedModel(

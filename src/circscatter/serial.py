@@ -28,14 +28,21 @@ def _refuse_constant(token: str):
     raise ValueError(f"bare {token} is not a JSON number")
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is too large for a double")
+    return value
+
+
 def read_json_object(path) -> dict:
     """Parse a config, scaler or manifest file; text that is not UTF-8
-    JSON (a bare NaN, Infinity or -Infinity included), or JSON that is
-    not an object, is a FormatError."""
+    JSON (a bare NaN, Infinity or -Infinity included, or a number that
+    overflows a double), or JSON that is not an object, is a FormatError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh, parse_constant=_refuse_constant)
-        # JSONDecodeError, UnicodeDecodeError or a refused constant
+            data = json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
+        # JSONDecodeError, UnicodeDecodeError, a refused constant or an overflow
         except ValueError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):

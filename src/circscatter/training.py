@@ -151,14 +151,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError("learning rate must be positive")
+        # chained comparisons against inf refuse NaN and inf alike
+        if not 0 < self.learning_rate < math.inf:
+            raise ValidationError("learning rate must be finite and positive")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValidationError("batch size, epochs, patience must be >= 1")
-        if self.min_delta < 0:
-            raise ValidationError("min_delta must be >= 0")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValidationError("clip norm must be positive")
+        if not 0 <= self.min_delta < math.inf:
+            raise ValidationError("min_delta must be finite and >= 0")
+        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
+            raise ValidationError("clip norm must be finite and positive")
 
 
 def preset_train_config(name: str, seed: int = 0, **overrides) -> TrainConfig:

@@ -153,6 +153,28 @@ def test_train_refuses_mismatched_dataset(tmp_path, capsys):
     assert "suite 'peanut'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--lr", "inf"), ("--lr", "nan"),
+                                         ("--min-delta", "nan"), ("--clip", "inf")])
+def test_train_refuses_nonfinite_hyperparameter(tmp_path, flag, value, capsys):
+    # NaN passes a plain "<= 0" check and inf trains into a numeric
+    # failure (exit 3); both are refused as values: exit 2
+    rc = run("train", "--suite", "peanut", "--scale", "0.0004", "--epochs", "1",
+             "--patience", "1", flag, value, "--out", str(tmp_path))
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_train_config_number_overflowing_a_double_exit_code(tmp_path, capsys):
+    # json reads 1e999 as inf; the config reader refuses it: exit 4, before
+    # anything trains on it
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"suite": "peanut", "lr": 1e999, "epochs": 1}')
+    rc = run("train", "--config", str(cfg), "--scale", "0.0004", "--out", str(tmp_path))
+    assert rc == 4
+    assert "1e999 is too large for a double" in capsys.readouterr().err
+    assert not (tmp_path / "peanut.model").exists()
+
+
 def test_train_divergence_exit_code(tmp_path, capsys):
     with np.errstate(all="ignore"):
         rc = run("train", "--suite", "peanut", "--scale", "0.0004",
@@ -299,10 +321,10 @@ def test_nonfinite_model_parameter_exit_code(trained_run, tmp_path, capsys):
 
 @pytest.mark.parametrize("command, member, text, message", [
     ("evaluate", "features", "0.0", "std finite and > 0"),
-    # a bare NaN token is refused by the JSON reader, while a number too
-    # large for a double parses as inf and reaches the scaler's own check
+    # a bare NaN token and a number too large for a double are both
+    # refused by the JSON reader, before the scaler's own check
     ("sweep", "targets", "NaN", "bare NaN is not a JSON number"),
-    ("sweep", "targets", "1e999", "std finite and > 0"),
+    ("sweep", "targets", "1e999", "1e999 is too large for a double"),
 ], ids=["feature-std-0", "target-std-nan", "target-std-overflow"])
 def test_nonfinite_or_zero_scaler_std_exit_code(trained_run, tmp_path, command, member,
                                                 text, message, capsys):

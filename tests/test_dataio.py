@@ -472,6 +472,15 @@ def test_binary_errors(tmp_path):
     (tmp_path / "extra.cscb").write_bytes(blob + b"\x00")
     with pytest.raises(errors.FormatError, match="trailing"):
         read_dataset_binary(tmp_path / "extra.cscb")
+    # the float64 payload holds class labels too: the last one hand-edited
+    # to a fraction, NaN or a value out of int64's range is refused, not cast
+    labelled = tmp_path / "labels.cscb"
+    write_dataset_binary(labelled, generate_dataset([1, 2, 3], 9, cfg, seed=1))
+    blob = labelled.read_bytes()
+    for label in (1.5, np.nan, 1e300):
+        labelled.write_bytes(blob[:-8] + np.array(label, dtype="<f8").tobytes())
+        with pytest.raises(errors.FormatError, match="class labels must be integer values"):
+            read_dataset_binary(labelled)
 
 
 def _with_binary_header(blob: bytes, header: bytes) -> bytes:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -236,6 +237,30 @@ def test_fft_conv_shift_equivariance(t, k):
         assert np.abs(ys - np.roll(y, m, axis=1)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t", [1, 2, 7, 8, 64])
+def test_dft_gemms_match_numpy_fft(t, dtype):
+    # the FFT path's transforms are GEMMs against cached tables; they
+    # match numpy's rfft/irfft (taken in float64) and stay in dtype
+    rng = np.random.default_rng(30 + t)
+    fwd, inv, _, _ = layers._dft_tables(t, 1, np.dtype(dtype))
+    assert not fwd.flags.writeable and not inv.flags.writeable
+    tol = 1e-6 if dtype == np.float32 else 1e-13
+    x = rng.standard_normal((3, t, 5)).astype(dtype)
+    spec = layers._rdft(fwd, x)
+    want = np.fft.rfft(x.astype(np.float64), axis=1)
+    assert spec.dtype == np.result_type(dtype, np.complex64)
+    npt.assert_allclose(spec, want, rtol=0, atol=tol * t * np.abs(x).max())
+    # any (F, M, C) spectrum: the imaginary parts of the DC bin and, for
+    # even t, the Nyquist bin are ignored, as irfft ignores them
+    f = t // 2 + 1
+    s = (rng.standard_normal((f, 4, 5)) + 1j * rng.standard_normal((f, 4, 5))).astype(spec.dtype)
+    y = layers._irdft(inv, s)
+    want = np.fft.irfft(s.astype(np.complex128), n=t, axis=0)
+    assert y.dtype == dtype
+    npt.assert_allclose(y, want, rtol=0, atol=tol * 2 * np.abs(s).max())
+
+
 def test_fft_conv_keeps_float32():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((3, 9, 4)).astype(np.float32)
@@ -247,16 +272,17 @@ def test_fft_conv_keeps_float32():
     assert cache.x_hat.dtype == np.complex64
 
 
-def test_fft_conv_agrees_with_im2col_at_ap10_layer3():
-    # ap10 layer 3: T=64, 128 -> 128 channels, K=31; float32 rounding
-    # only (sums of 3968 products in different orders)
+@pytest.mark.parametrize("k", [31, 15], ids=["k31", "k15"])
+def test_fft_conv_agrees_with_im2col_at_ap10_layer3(k):
+    # ap10 layers 3 and 2: T=64, 128 -> 128 channels, K=31 or K=15;
+    # float32 rounding only (sums of K*128 products in different orders)
     rng = np.random.default_rng(7)
     x = rng.standard_normal((4, 64, 128)).astype(np.float32)
-    lim = np.sqrt(6.0 / (2 * 31 * 128))
-    w = rng.uniform(-lim, lim, (128, 31, 128)).astype(np.float32)
+    lim = np.sqrt(6.0 / (2 * k * 128))
+    w = rng.uniform(-lim, lim, (128, k, 128)).astype(np.float32)
     b = rng.standard_normal(128).astype(np.float32)
     dy = rng.standard_normal((4, 64, 128)).astype(np.float32)
-    assert not layers._use_fft(4, 31, 1)
+    assert not layers._use_fft(4, k, 1)
     y0, c0 = layers.circular_conv_forward(x, w, b, 1)
     y1, c1 = layers._fft_conv_forward(x, w, b)
     for got, want in zip((y1,) + layers.circular_conv_backward(dy, c1),
@@ -266,17 +292,22 @@ def test_fft_conv_agrees_with_im2col_at_ap10_layer3():
 
 
 def test_conv_dispatch_rule():
-    # batch 1 and stride 2 stay on im2col
+    # batch 1 and stride 2 stay on im2col; K=31 takes FFT from batch 6
+    # and K=15 from batch 11
     assert not layers._use_fft(1, 31, 1)
     assert not layers._use_fft(128, 31, 2)
-    # every conv (and attention mix) of the five presets at training and
-    # evaluation batches: only ap7/ap10's K=15 and K=31 layers take FFT
+    assert not layers._use_fft(5, 31, 1) and layers._use_fft(6, 31, 1)
+    assert not layers._use_fft(10, 15, 1) and layers._use_fft(11, 15, 1)
+    # every conv (and attention mix) of the five presets at one-row,
+    # small, training and evaluation batches: only ap7/ap10's K=15 and
+    # K=31 layers take FFT, and never at batch 1
+    first_fft_batch = {15: 11, 31: 6}
     for name in ("ap1", "ap2", "ap4", "ap7", "ap10"):
         spec = preset_spec(name)
         for i, layer in enumerate(spec.layers):
-            for batch in (1, 128, 160):
+            for batch in (1, 8, 16, 128, 160):
                 if isinstance(layer, Conv):
-                    want = batch >= 128 and layer.kernel_size in (15, 31)
+                    want = batch >= first_fft_batch.get(layer.kernel_size, math.inf)
                     assert layers._use_fft(batch, layer.kernel_size,
                                            layer.stride) == want, (name, i, batch)
                 elif isinstance(layer, Attention):
