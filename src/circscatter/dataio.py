@@ -48,7 +48,7 @@ from .geometry import (
     sample_shape,
     shape_to_targets,
 )
-from .serial import atomic_write, format_double
+from .serial import atomic_write, format_double, parse_json_object
 
 TEXT_MAGIC = "circscatter-v1"
 BINARY_MAGIC = b"CSC1"
@@ -432,6 +432,10 @@ def read_dataset_text(path) -> Dataset:
     except UnicodeDecodeError as exc:
         raise FormatError(f"not an ASCII text dataset: {exc}") from exc
     head = _parse_header(lines[0])
+    # the writer ends every row with a newline, so a last row without one
+    # is a file cut short
+    if lines[-1]:
+        raise FormatError("row has no closing newline (file cut short?)", line=len(lines))
     d = head["t0"] * head["c0"]
     n_target = 1 if head["task"] == "class" else head["p"]
     features, targets, shape_ids = [], [], []
@@ -484,12 +488,7 @@ def read_dataset_binary(path) -> Dataset:
         if len(raw_len) != 4:
             raise FormatError("truncated header length")
         hlen = int(np.frombuffer(raw_len, dtype="<u4")[0])
-        try:
-            header = json.loads(fh.read(hlen).decode("ascii"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"bad binary header: {exc}") from exc
-        if not isinstance(header, dict):
-            raise FormatError("binary header is not a JSON object")
+        header = parse_json_object(fh.read(hlen), "bad binary header", "ascii")
         missing = [key for key in BINARY_HEADER_KEYS if key not in header]
         if missing:
             raise FormatError(f"binary header lacks {', '.join(missing)}")

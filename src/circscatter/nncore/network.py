@@ -24,7 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from ..errors import FormatError, ValidationError
-from ..serial import atomic_write
+from ..serial import atomic_write, parse_json_object
 from . import layers
 
 MODEL_MAGIC = b"cscmodel-v1"
@@ -171,10 +171,12 @@ class Dense(LayerSpec):
     def out_shape(self, i, shape_in, task):
         if not _sizes_ok(self.units):
             raise ValidationError(f"layer {i}: units must be an integer >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValidationError(f"layer {i}: dropout must be in [0, 1)")
-        if self.l2 < 0:
-            raise ValidationError(f"layer {i}: l2 must be >= 0")
+        if not (_is_number(self.dropout) and 0.0 <= self.dropout < 1.0):
+            raise ValidationError(f"layer {i}: dropout must be a number in [0, 1)")
+        if not (_is_number(self.l2) and 0.0 <= self.l2 < math.inf):
+            raise ValidationError(f"layer {i}: l2 must be a finite number >= 0")
+        if not isinstance(self.layernorm, bool):
+            raise ValidationError(f"layer {i}: layernorm must be true or false")
         return self.units
 
     def param_shapes(self, shape_in):
@@ -247,6 +249,11 @@ def _sizes_ok(*sizes) -> bool:
     may carry anything JSON can hold."""
     return all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
                for v in sizes)
+
+
+def _is_number(v) -> bool:
+    """A real number and not a bool (JSON's true and false are bools)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 _KINDS = {cls.kind: cls for cls in (Conv, Attention, Bottleneck, Flatten, Dense, Output)}
@@ -491,13 +498,13 @@ def load_model(path):
         magic = fh.readline().rstrip(b"\n")
         if magic != MODEL_MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}")
+        header = parse_json_object(fh.readline(), "bad model header", "ascii")
         try:
-            header = json.loads(fh.readline().decode("ascii"))
             spec = NetworkSpec.from_json_dict(header["spec"])
             dtype = np.dtype(header["dtype"])
-        # a spec that fails validation (a ValidationError is a ValueError)
-        # is a fault of the file
-        except (KeyError, ValueError) as exc:
+        # a spec that fails validation (a ValidationError is a ValueError),
+        # or a dtype numpy cannot read (a TypeError), is a fault of the file
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad model header: {exc}") from exc
         if dtype not in (np.float32, np.float64):
             raise FormatError(f"bad model header: dtype {dtype.name} is not float32 or float64")

@@ -35,7 +35,7 @@ from .geometry import (
     validate_shape,
 )
 from .nncore import NetworkSpec, Parameters, load_model, preset_spec, save_model
-from .serial import atomic_write, format_double, read_json_object, write_json
+from .serial import read_json_object, write_csv, write_json
 from .training import TrainHistory, forward_eval, preset_train_config, train
 
 SUPERSET_T0 = 128
@@ -46,6 +46,22 @@ MANIFEST_NAME = "manifest.json"
 
 
 # ---------------------------------------------------------------- suites
+
+
+def registry_name(class_tag: int | None) -> str:
+    """The name a registry files a model under: "classifier", or the
+    regressor's shape class in lower case."""
+    return "classifier" if class_tag is None else ShapeClass(class_tag).name.lower()
+
+
+# registry name -> class tag (None for the classifier)
+_REGISTRY_TAGS = {registry_name(tag): tag for tag in (None, *map(int, ShapeClass))}
+
+
+def _registry_tag(name: str) -> int | None:
+    if name not in _REGISTRY_TAGS:
+        raise ValidationError(f"unknown registry model name {name!r}")
+    return _REGISTRY_TAGS[name]
 
 
 @dataclass(frozen=True)
@@ -65,9 +81,7 @@ class SuiteSpec:
 
     @property
     def registry_name(self) -> str:
-        if self.task == "class":
-            return "classifier"
-        return ShapeClass(self.class_tags[0]).name.lower()
+        return registry_name(None if self.task == "class" else self.class_tags[0])
 
     def config(self) -> ScatterConfig:
         spec = preset_spec(self.preset)
@@ -221,6 +235,17 @@ class TrainedModel:
         """Regression outputs in original (unstandardized) units."""
         return self.answers(self._standardize(raw_features, "reg"))
 
+    def regressed_shape(self, values) -> BoundaryShape:
+        """The obstacle a regressed parameter row describes, in this
+        regressor's class and at its fixed impedance, if any; raw, not
+        clamped into the sampling ranges."""
+        return targets_to_shape(self.class_tag, values, fixed_impedance=self.fixed_impedance,
+                                check_ranges=False)
+
+    def check_fits(self, ds: Dataset) -> None:
+        """Refuse a dataset this saved model cannot be scored against."""
+        _check_fits(ds, self.spec, self.classes or (self.class_tag,), "the model")
+
     def meta_dict(self) -> dict:
         return {
             "preset": self.preset,
@@ -235,19 +260,24 @@ class TrainedModel:
         }
 
     def save(self, directory, name: str) -> dict:
-        """Write <name>.model and <name>.scaler.json; returns the meta
-        entry for the registry manifest."""
+        """Write <name>.model and <name>.scaler.json, then enter the model
+        in the directory's registry manifest; ``name`` is a registry name
+        (see registry_name).  Returns {"model": path, "scaler": path}."""
+        _registry_tag(name)
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        save_model(directory / f"{name}.model", self.spec, self.params)
+        files = {"model": directory / f"{name}.model",
+                 "scaler": directory / f"{name}.scaler.json"}
+        save_model(files["model"], self.spec, self.params)
         blob = {
             "features": self.feature_scaler.to_json_dict(),
             "targets": (self.target_scaler.to_json_dict()
                         if self.target_scaler is not None else None),
             "meta": self.meta_dict(),
         }
-        write_json(directory / f"{name}.scaler.json", blob)
-        return self.meta_dict()
+        write_json(files["scaler"], blob)
+        _update_manifest(directory, name, self.meta_dict())
+        return files
 
     @classmethod
     def load(cls, directory, name: str) -> "TrainedModel":
@@ -281,18 +311,20 @@ def _read_manifest(path: Path) -> dict:
     data = read_json_object(path)
     if data.get("format") != REGISTRY_FORMAT:
         raise FormatError(f"{path}: unknown manifest format {data.get('format')!r}")
-    if not isinstance(data.get("models", {}), dict):
+    models = data.get("models", {})
+    if not isinstance(models, dict):
         raise FormatError(f"{path}: \"models\" must be a JSON object")
+    unknown = sorted(set(models) - set(_REGISTRY_TAGS))
+    if unknown:
+        raise FormatError(f"{path}: unknown model name {unknown[0]!r}; a registry holds "
+                          f"{sorted(_REGISTRY_TAGS)}")
     return data
 
 
 def _update_manifest(directory, name: str, meta: dict) -> None:
     path = Path(directory) / MANIFEST_NAME
-    data = {"format": REGISTRY_FORMAT, "models": {}}
-    if path.exists():
-        data = _read_manifest(path)
-        data.setdefault("models", {})
-    data["models"][name] = meta
+    data = _read_manifest(path) if path.exists() else {"format": REGISTRY_FORMAT}
+    data.setdefault("models", {})[name] = meta
     write_json(path, data)
 
 
@@ -305,23 +337,16 @@ class ModelRegistry:
     regressors: dict = field(default_factory=dict)
 
     def add(self, name: str, model: TrainedModel) -> None:
-        if name == "classifier":
+        tag = _registry_tag(name)
+        if tag is None:
             self.classifier = model
         else:
-            tag = next((t for t in ShapeClass if t.name.lower() == name), None)
-            if tag is None:
-                raise ValidationError(f"unknown registry model name {name!r}")
-            self.regressors[int(tag)] = model
+            self.regressors[tag] = model
 
     def save(self, directory) -> None:
-        directory = Path(directory)
-        if self.classifier is not None:
-            meta = self.classifier.save(directory, "classifier")
-            _update_manifest(directory, "classifier", meta)
-        for tag, model in sorted(self.regressors.items()):
-            name = ShapeClass(tag).name.lower()
-            meta = model.save(directory, name)
-            _update_manifest(directory, name, meta)
+        for tag, model in [(None, self.classifier), *sorted(self.regressors.items())]:
+            if model is not None:
+                model.save(directory, registry_name(tag))
 
     @classmethod
     def load(cls, directory) -> "ModelRegistry":
@@ -329,7 +354,12 @@ class ModelRegistry:
         data = _read_manifest(directory / MANIFEST_NAME)
         reg = cls()
         for name in sorted(data.get("models", {})):
-            reg.add(name, TrainedModel.load(directory, name))
+            model = TrainedModel.load(directory, name)
+            # infer builds a regressor's shapes in the model's own class
+            if model.class_tag != _REGISTRY_TAGS[name]:
+                raise FormatError(f"{name}.scaler.json: class tag {model.class_tag!r} does "
+                                  f"not match the registry name {name!r}")
+            reg.add(name, model)
         return reg
 
 
@@ -371,9 +401,7 @@ def infer(registry: ModelRegistry, features) -> InverseSolution:
     reg = registry.regressors.get(tag)
     if reg is None:
         raise LayoutError(f"no regressor for predicted class {ShapeClass(tag).name}")
-    values = reg.predict_params(derive_features(row, reg.t0, reg.c0))[0]
-    shape = targets_to_shape(tag, values, fixed_impedance=reg.fixed_impedance,
-                             check_ranges=False)
+    shape = reg.regressed_shape(reg.predict_params(derive_features(row, reg.t0, reg.c0))[0])
     diag = validate_shape(shape, ScatterConfig())
     return InverseSolution(
         class_probs=probs[0],
@@ -384,7 +412,7 @@ def infer(registry: ModelRegistry, features) -> InverseSolution:
         diagnostics=diag,
         provenance={
             "classifier": {"preset": clf.preset, "seed": clf.seed},
-            "regressor": {"name": ShapeClass(tag).name.lower(), "preset": reg.preset,
+            "regressor": {"name": registry_name(tag), "preset": reg.preset,
                           "seed": reg.seed},
         },
     )
@@ -424,22 +452,20 @@ def reconstruct_curve(solution, t: int = 256,
     return CurveReconstruction(tau, pred, true_points, degenerate, disc)
 
 
+CURVE_COLUMNS = ("tau", "x_true", "y_true", "x_pred", "y_pred")
+
+
 def write_curve_csv(path, rec: CurveReconstruction) -> None:
     if rec.true_points is None:
         raise ValidationError("curve file needs a truth curve alongside the prediction")
-    lines = ["tau,x_true,y_true,x_pred,y_pred"]
-    for i in range(rec.tau.shape[0]):
-        lines.append(",".join(format_double(v) for v in (
-            rec.tau[i], rec.true_points[i, 0], rec.true_points[i, 1],
-            rec.pred_points[i, 0], rec.pred_points[i, 1])))
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, CURVE_COLUMNS, np.column_stack((rec.tau, rec.true_points,
+                                                    rec.pred_points)))
 
 
 def read_curve_csv(path):
     """Returns (tau, true_points, pred_points)."""
     lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "tau,x_true,y_true,x_pred,y_pred":
+    if not lines or lines[0] != ",".join(CURVE_COLUMNS):
         raise FormatError(f"{path}: not a curve file")
     rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     if rows.ndim != 2 or rows.shape[1] != 5:
@@ -538,10 +564,7 @@ def misclassification_report(registry: ModelRegistry, ds: Dataset,
                 row = ds.features[i]
             else:
                 row = derive_features(superset_features(true_shape), reg.t0, reg.c0)
-            values = reg.predict_params(row)[0]
-            pred_shape = targets_to_shape(pred_tag, values,
-                                          fixed_impedance=reg.fixed_impedance,
-                                          check_ranges=False)
+            pred_shape = reg.regressed_shape(reg.predict_params(row)[0])
             degenerate = reconstruct_curve(pred_shape, curve_points).degenerate
             disc = aligned_discrepancy(pred_shape, true_shape, curve_points)
         entries.append(MisclassifiedSample(
@@ -589,38 +612,26 @@ def _check_fits(ds: Dataset, spec: NetworkSpec, classes, who: str) -> None:
             f"{spec.output_dim} (fixed vs variable impedance?)")
 
 
-def _hist_csv(path, errors: np.ndarray, bins: int = 40) -> None:
-    counts, edges = np.histogram(errors, bins=bins)
-    lines = ["bin_left,bin_right,count"]
-    for i, c in enumerate(counts):
-        lines.append(f"{format_double(edges[i])},{format_double(edges[i + 1])},{int(c)}")
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _row_errors(preds: np.ndarray, ds: Dataset) -> np.ndarray:
     """Euclidean error of each predicted target row against the truth."""
     return np.sqrt(np.sum((preds - ds.targets) ** 2, axis=1))
 
 
-def _regression_curves(ds: Dataset, preds: np.ndarray, out_dir: Path, prefix: str,
-                       seed: int, curve_points: int) -> dict:
+def _regression_curves(model: TrainedModel, ds: Dataset, preds: np.ndarray, out_dir: Path,
+                       prefix: str, seed: int, curve_points: int) -> dict:
     """Write max/min/random truth-vs-prediction curve files over the rows
-    of ``ds`` predicted as ``preds``; returns {kind: path}."""
+    of ``ds`` that the regressor ``model`` predicts as ``preds``; returns
+    {kind: path}."""
     err = _row_errors(preds, ds)
     picks = {
         "max": int(np.argmax(err)),
         "min": int(np.argmin(err)),
         "random": int(np.random.default_rng(seed).integers(len(ds))),
     }
-    tag = int(ds.classes[0])
     files = {}
     for kind, j in picks.items():
-        true_shape = regenerate_shape(ds, j)
-        pred_shape = targets_to_shape(tag, preds[j],
-                                      fixed_impedance=ds.fixed_impedance,
-                                      check_ranges=False)
-        rec = reconstruct_curve(pred_shape, curve_points, true_shape=true_shape)
+        rec = reconstruct_curve(model.regressed_shape(preds[j]), curve_points,
+                                true_shape=regenerate_shape(ds, j))
         path = out_dir / f"{prefix}reconstruction_{kind}.csv"
         write_curve_csv(path, rec)
         files[f"reconstruction_{kind}"] = path
@@ -696,17 +707,15 @@ def run_experiment(suite: str, out_dir=None, scale: float = 1.0, seed: int = 0,
         files["report"] = out_path / f"{prefix}report.json"
         write_json(files["report"], report)
 
-        name = s.registry_name
-        meta = model.save(out_path, name)
-        _update_manifest(out_path, name, meta)
-        files["model"] = out_path / f"{name}.model"
-        files["scaler"] = out_path / f"{name}.scaler.json"
+        files.update(model.save(out_path, s.registry_name))
 
         if s.task == "reg":
             preds = model.predict_params(test.features)
             files["errors_hist"] = out_path / f"{prefix}errors_hist.csv"
-            _hist_csv(files["errors_hist"], _row_errors(preds, test))
-            files.update(_regression_curves(test, preds, out_path, prefix, seed,
+            counts, edges = np.histogram(_row_errors(preds, test), bins=40)
+            write_csv(files["errors_hist"], ("bin_left", "bin_right", "count"),
+                      zip(edges[:-1], edges[1:], counts))
+            files.update(_regression_curves(model, test, preds, out_path, prefix, seed,
                                             curve_points))
 
     return ExperimentResult(suite=suite, n=n, preset=s.preset, seed=seed,
@@ -726,7 +735,7 @@ def _score(model: TrainedModel, x: np.ndarray, targets: np.ndarray):
 
 def evaluate_model(model: TrainedModel, ds: Dataset):
     """Clean metrics of a trained model over a whole dataset."""
-    _check_fits(ds, model.spec, model.classes or (model.class_tag,), "the model")
+    model.check_fits(ds)
     return _score(model, model.feature_scaler.apply(ds.features), ds.targets)
 
 
@@ -736,7 +745,7 @@ def sweep_model(model: TrainedModel, ds: Dataset, levels=DEFAULT_NOISE_LEVELS,
     additive noise on the standardized features at each level, averaged
     over ``trials`` draws.  Level 0 reproduces ``evaluate_model``.
     Returns one dict per level."""
-    _check_fits(ds, model.spec, model.classes or (model.class_tag,), "the model")
+    model.check_fits(ds)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     x = model.feature_scaler.apply(ds.features)
@@ -760,10 +769,10 @@ def reconstruct_samples(model: TrainedModel, ds: Dataset, out_dir, seed: int = 0
                         curve_points: int = 256) -> dict:
     """Emit max/min/random truth-vs-prediction curve files for a
     regression dataset under a trained model."""
-    _check_fits(ds, model.spec, model.classes or (model.class_tag,), "the model")
+    model.check_fits(ds)
     if ds.task != "reg":
         raise ValidationError("curve reconstruction needs a regression dataset")
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    return _regression_curves(ds, model.predict_params(ds.features), out_path, "",
+    return _regression_curves(model, ds, model.predict_params(ds.features), out_path, "",
                               seed, curve_points)

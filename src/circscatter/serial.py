@@ -1,5 +1,6 @@
-"""Deterministic text encoding of doubles, the one writer and the one
-reader of JSON-object files, and the atomic file write that every
+"""Deterministic text encoding of doubles, the one decoder of JSON text
+(config, scaler and manifest files, .model and binary .csc headers), the
+JSON and CSV artifact writers, and the atomic file write that every
 artifact goes through.
 
 Doubles in CSV and dataset text are written with 17 significant digits,
@@ -11,7 +12,9 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import os
+import sys
 from pathlib import Path
 
 from .errors import FormatError
@@ -28,26 +31,36 @@ def _refuse_constant(token: str):
     raise ValueError(f"bare {token} is not a JSON number")
 
 
-def _finite_float(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
+def _in_double_range(token: str, parse=float):
+    """A JSON number token read by ``parse``; refused beyond a double's range."""
+    value = parse(token)
+    if not abs(value) <= sys.float_info.max:
         raise ValueError(f"{token} is too large for a double")
     return value
 
 
-def read_json_object(path) -> dict:
-    """Parse a config, scaler or manifest file; text that is not UTF-8
-    JSON (a bare NaN, Infinity or -Infinity included, or a number that
-    overflows a double), or JSON that is not an object, is a FormatError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
-        # JSONDecodeError, UnicodeDecodeError, a refused constant or an overflow
-        except ValueError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from None
+def parse_json_object(raw: bytes, where, encoding: str) -> dict:
+    """Decode ``raw`` as one JSON object.  Bytes that are not text in
+    ``encoding``, text that is not JSON (a bare NaN, Infinity or -Infinity
+    included, or a number that overflows a double), or JSON that is not
+    an object is a FormatError whose message starts with ``where``."""
+    try:
+        data = json.loads(raw.decode(encoding), parse_constant=_refuse_constant,
+                          parse_float=_in_double_range,
+                          parse_int=lambda token: _in_double_range(token, int))
+    # UnicodeDecodeError, JSONDecodeError, a refused constant or an overflow
+    except ValueError as exc:
+        raise FormatError(f"{where}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise FormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
+        raise FormatError(f"{where}: not a JSON object (got {type(data).__name__})")
     return data
+
+
+def read_json_object(path) -> dict:
+    """Parse a config, scaler or manifest file, UTF-8 JSON holding one
+    object (see parse_json_object)."""
+    with open(path, "rb") as fh:
+        return parse_json_object(fh.read(), path, "utf-8")
 
 
 def write_json(path, obj) -> None:
@@ -55,6 +68,18 @@ def write_json(path, obj) -> None:
     with atomic_write(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a CSV file atomically: the ``columns`` header line, then one
+    comma-joined line per row, each cell a str as it is, an integer in
+    decimal, or any other number through format_double."""
+    with atomic_write(path) as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str)
+                              else str(int(v)) if isinstance(v, numbers.Integral)
+                              else format_double(v) for v in row) + "\n")
 
 
 @contextlib.contextmanager

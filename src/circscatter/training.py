@@ -23,7 +23,7 @@ from .nncore import (
     network_forward,
 )
 from .nncore import network as _network
-from .serial import atomic_write, format_double
+from .serial import write_csv
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -182,18 +182,12 @@ class TrainHistory:
         return self.valid_loss[self.best_epoch - 1]
 
     def to_csv(self, path) -> None:
-        with atomic_write(path) as fh:
-            cols = ["epoch", "train_loss", "valid_loss"]
-            if self.train_acc is not None:
-                cols += ["train_acc", "valid_acc"]
-            fh.write(",".join(cols) + "\n")
-            for i in range(len(self.train_loss)):
-                row = [str(i + 1), format_double(self.train_loss[i]),
-                       format_double(self.valid_loss[i])]
-                if self.train_acc is not None:
-                    row += [format_double(self.train_acc[i]),
-                            format_double(self.valid_acc[i])]
-                fh.write(",".join(row) + "\n")
+        cols = ["epoch", "train_loss", "valid_loss"]
+        series = [self.train_loss, self.valid_loss]
+        if self.train_acc is not None:
+            cols += ["train_acc", "valid_acc"]
+            series += [self.train_acc, self.valid_acc]
+        write_csv(path, cols, zip(range(1, len(self.train_loss) + 1), *series))
 
 
 # ---------------------------------------------------------------- train loop

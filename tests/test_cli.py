@@ -217,18 +217,24 @@ def test_evaluate_missing_model(trained_run, tmp_path):
 
 
 def test_evaluate_bad_model_spec_exit_code(trained_run, tmp_path, capsys):
-    # a .model whose spec fails validation (Output units -1) or names a
-    # layer kind nncore lacks is a format error: exit 4, not the exit 2
-    # of a bad flag
+    # a .model whose spec fails validation (Output units -1, a bool or
+    # string where the Dense layer wants a number or a bool), names a
+    # layer kind nncore lacks or holds a dtype numpy cannot read is a
+    # format error: exit 4, not the exit 2 of a bad flag or a traceback
     out, data = trained_run
     for name in ("peanut.model", "peanut.scaler.json"):
         shutil.copy(out / name, tmp_path / name)
     path = tmp_path / "peanut.model"
     magic, header, payload = path.read_bytes().split(b"\n", 2)
-    for key, value, message in (("units", -1, "units must be an integer >= 1"),
-                                ("kind", "pooling", "unknown layer kind 'pooling'")):
+    for layer, key, value, message in (
+            (-1, "units", -1, "units must be an integer >= 1"),
+            (-1, "kind", "pooling", "unknown layer kind 'pooling'"),
+            (-2, "l2", True, "l2 must be a finite number >= 0"),
+            (-2, "dropout", False, "dropout must be a number in [0, 1)"),
+            (-2, "layernorm", "no", "layernorm must be true or false"),
+            (None, "dtype", 5, "bad model header")):
         spec = json.loads(header)
-        spec["spec"]["layers"][-1][key] = value
+        (spec if layer is None else spec["spec"]["layers"][layer])[key] = value
         path.write_bytes(b"\n".join([magic, json.dumps(spec).encode("ascii"), payload]))
         rc = run("evaluate", "--model", str(tmp_path / "peanut"), "--data", str(data))
         assert rc == 4

@@ -425,6 +425,17 @@ def test_text_parse_errors(tmp_path):
         read_dataset_text(path)
 
 
+def test_text_reader_refuses_a_cut_last_row(tmp_path):
+    # the writer ends every row with a newline; a file cut short inside
+    # its last row would otherwise read back with that row's id cut too
+    # ("4:12" as "4:1"), naming another obstacle
+    path = tmp_path / "peanut.csc"
+    write_dataset_text(path, generate_dataset([1], 13, ScatterConfig(), seed=4))
+    path.write_bytes(path.read_bytes()[:-2])
+    with pytest.raises(errors.FormatError, match="line 14: .*no closing newline"):
+        read_dataset_text(path)
+
+
 # ---------------------------------------------------------------- binary files
 
 

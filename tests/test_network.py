@@ -61,6 +61,12 @@ def test_spec_validation_errors():
         NetworkSpec(8, 2, (Flatten(), Output(2, "softmax")), "reg")
     with pytest.raises(errors.ValidationError):  # bad dropout
         NetworkSpec(8, 2, (Flatten(), Dense(3, dropout=1.5), Output(2, "linear")), "reg")
+    # a dense field must be a number (not a bool) in range, layernorm a bool
+    for bad in (Dense(3, dropout=True), Dense(3, dropout=float("nan")), Dense(3, l2=False),
+                Dense(3, l2=float("nan")), Dense(3, l2=float("inf")), Dense(3, l2=-1e-4),
+                Dense(3, l2="0"), Dense(3, layernorm="no"), Dense(3, layernorm=1)):
+        with pytest.raises(errors.ValidationError, match="dropout|l2|layernorm"):
+            NetworkSpec(8, 2, (Flatten(), bad, Output(2, "linear")), "reg")
     with pytest.raises(errors.ValidationError, match="unknown layer spec"):
         NetworkSpec(8, 2, (Flatten(), {"kind": "dense", "units": 3}, Output(2, "linear")),
                     "reg")
@@ -432,9 +438,27 @@ def test_model_spec_errors_are_format_errors(tmp_path):
     bad.write_bytes(b"\n".join([magic, json.dumps(blob).encode("ascii"), payload]))
     with pytest.raises(errors.FormatError, match="unknown layer kind 'pooling'"):
         load_model(bad)
+    for key, value in (("l2", True), ("dropout", False), ("layernorm", "no")):
+        blob = json.loads(header)
+        next(layer for layer in blob["spec"]["layers"] if layer["kind"] == "dense")[key] = value
+        bad.write_bytes(b"\n".join([magic, json.dumps(blob).encode("ascii"), payload]))
+        with pytest.raises(errors.FormatError, match=f"bad model header: .*{key} must be"):
+            load_model(bad)
     blob = json.loads(header)
-    for dtype in ("object", "V4", "int8"):
+    for dtype in ("object", "V4", "int8", 5):
         bad.write_bytes(b"\n".join([magic, json.dumps({**blob, "dtype": dtype}).encode("ascii"),
                                     payload]))
-        with pytest.raises(errors.FormatError, match="dtype"):
+        with pytest.raises(errors.FormatError, match="bad model header: .*(dtype|data type)"):
+            load_model(bad)
+    # the header is read by the strict JSON decoder: an object, with no
+    # bare NaN or Infinity and no number that overflows a double
+    dense = next(layer for layer in blob["spec"]["layers"] if layer["kind"] == "dense")
+    dense["l2"] = "L2"
+    text = json.dumps(blob).encode("ascii")
+    for line, message in ((b"[1, 2]", "not a JSON object"),
+                          (text.replace(b'"L2"', b"NaN"), "bare NaN"),
+                          (text.replace(b'"L2"', b"Infinity"), "bare Infinity"),
+                          (text.replace(b'"L2"', b"1e999"), "too large for a double")):
+        bad.write_bytes(b"\n".join([magic, line, payload]))
+        with pytest.raises(errors.FormatError, match=f"bad model header: .*{message}"):
             load_model(bad)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import shutil
 
 import numpy as np
 import numpy.testing as npt
@@ -224,6 +225,12 @@ def test_trained_model_save_load_roundtrip(tmp_path):
     assert back.fixed_impedance is None and back.classes is None
     x = np.random.default_rng(2).standard_normal((3, 64))
     npt.assert_array_equal(back.predict_params(x), reg.predict_params(x))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["models"] == {"peanut": reg.meta_dict()}
+    # the manifest names registry models only, so no other name is saved
+    with pytest.raises(ValidationError, match="unknown registry model name 'blob'"):
+        reg.save(tmp_path / "other", "blob")
+    assert not (tmp_path / "other").exists()
 
 
 def test_registry_save_load_preserves_infer(tmp_path):
@@ -314,6 +321,31 @@ def test_manifest_models_must_be_an_object(tmp_path, models):
         ModelRegistry.load(tmp_path)
     with pytest.raises(FormatError, match="manifest.json.*models"):
         make_registry().save(tmp_path)
+
+
+def test_manifest_names_are_checked_before_any_model_is_read(tmp_path):
+    make_registry().save(tmp_path)
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"format": pipeline.REGISTRY_FORMAT, "models": {"blob": {}}}))
+    with pytest.raises(FormatError, match="manifest.json: unknown model name 'blob'"):
+        ModelRegistry.load(tmp_path)  # no blob.model
+    for suffix in (".model", ".scaler.json"):
+        shutil.copy(tmp_path / f"peanut{suffix}", tmp_path / f"blob{suffix}")
+    with pytest.raises(FormatError, match="manifest.json: unknown model name 'blob'"):
+        ModelRegistry.load(tmp_path)
+
+
+@pytest.mark.parametrize("class_tag", [2, None])
+def test_registry_model_must_have_its_names_class(tmp_path, class_tag):
+    # infer builds a routed regressor's shape in the regressor's own
+    # class, so a kite model filed as the peanut one is refused on load
+    make_registry().save(tmp_path)
+    path = tmp_path / "peanut.scaler.json"
+    blob = json.loads(path.read_text())
+    blob["meta"]["class_tag"] = class_tag
+    path.write_text(json.dumps(blob))
+    with pytest.raises(FormatError, match="peanut.scaler.json: class tag"):
+        ModelRegistry.load(tmp_path)
 
 
 class _DiskFullArray:

@@ -1,4 +1,5 @@
-"""Fuzzed dataset files: each reader returns a Dataset or raises FormatError.
+"""Fuzzed dataset, .model, scaler and manifest files: each reader returns
+what it reads or raises FormatError.
 
 Hypothesis is a test-only dependency; without it this module is skipped.
 """
@@ -13,12 +14,24 @@ from circscatter.dataio import (
     BINARY_HEADER_KEYS,
     BINARY_MAGIC,
     Dataset,
+    Standardizer,
     generate_dataset,
     read_dataset,
     write_dataset_binary,
     write_dataset_text,
 )
 from circscatter.geometry import ScatterConfig
+from circscatter.nncore import (
+    Bottleneck,
+    Conv,
+    Dense,
+    Flatten,
+    NetworkSpec,
+    Output,
+    init_parameters,
+    load_model,
+)
+from circscatter.pipeline import ModelRegistry, TrainedModel
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -97,3 +110,101 @@ def test_text_reader_fuzz(files, header, cell):
         lines[row] = ",".join(cells)
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     read_or_format_error(path)
+
+
+# ------------------------------------------------------ model registry files
+
+
+@pytest.fixture(scope="module")
+def registry(tmp_path_factory):
+    """A registry directory holding a small classifier and three small
+    regressors, so that a manifest naming any registry model finds its
+    files; returns it with its manifest and the peanut .model split
+    into magic, header and payload."""
+    directory = tmp_path_factory.mktemp("registry")
+    for name, tag in (("classifier", None), ("peanut", 1), ("kite", 2), ("star", 3)):
+        task, out = ("class", Output(3, "softmax")) if tag is None else ("reg", Output(5))
+        spec = NetworkSpec(8, 2, (Conv(4, 3, 2), Bottleneck(3), Flatten(),
+                                  Dense(6, dropout=0.1, l2=1e-4), out), task)
+        targets = None if tag is None else Standardizer(np.zeros(5), np.ones(5))
+        TrainedModel(spec, init_parameters(spec, 0), Standardizer(np.zeros(16), np.ones(16)),
+                     targets, preset="ap2", seed=0, classes=(1, 2, 3) if tag is None else None,
+                     class_tag=tag).save(directory, name)
+    model = (directory / "peanut.model").read_bytes().split(b"\n", 2)
+    return directory, (directory / "manifest.json").read_bytes(), model
+
+
+def loads_or_format_error(load):
+    try:
+        load()
+    except errors.FormatError:
+        pass
+
+
+def mutated(text: bytes, keys, value, whole) -> bytes:
+    """The JSON ``text`` with the member that ``keys`` leads to set to
+    ``value``; or, when ``whole`` is not None, ``whole`` in its place."""
+    if whole is not None:
+        return json.dumps(whole).encode("ascii")
+    node = blob = json.loads(text)
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return json.dumps(blob).encode("ascii")
+
+
+# the spec's layers are conv, bottleneck, flatten, dense and output
+HEADER_KEYS = (st.sampled_from([("spec",), ("dtype",), ("spec", "input_t"), ("spec", "input_c"),
+                                ("spec", "task"), ("spec", "layers")])
+               | st.tuples(st.just("spec"), st.just("layers"), st.integers(0, 4),
+                           st.sampled_from(["kind", "filters", "kernel_size", "stride",
+                                            "channels", "units", "dropout", "l2",
+                                            "layernorm", "activation", "extra"])))
+
+
+@FUZZ
+@given(keys=HEADER_KEYS, value=JSON_VALUES, whole=st.none() | JSON_VALUES)
+@example(keys=("dtype",), value=None, whole=[1, 2])
+@example(keys=("dtype",), value=5, whole=None)
+@example(keys=("spec", "layers", 3, "l2"), value=float("nan"), whole=None)
+@example(keys=("spec", "layers", 3, "layernorm"), value="no", whole=None)
+def test_model_header_fuzz(registry, keys, value, whole):
+    directory, _, (magic, header, payload) = registry
+    path = directory / "mutated.model"
+    path.write_bytes(b"\n".join([magic, mutated(header, keys, value, whole), payload]))
+    loads_or_format_error(lambda: load_model(path))
+
+
+SCALER_KEYS = (st.sampled_from([("features",), ("targets",), ("meta",)])
+               | st.tuples(st.sampled_from(["features", "targets"]),
+                           st.sampled_from(["mean", "std"]))
+               | st.tuples(st.sampled_from(["features", "targets"]),
+                           st.sampled_from(["mean", "std"]), st.integers(0, 4))
+               | st.tuples(st.just("meta"),
+                           st.sampled_from(["preset", "seed", "task", "t0", "c0", "phis",
+                                            "classes", "class_tag", "fixed_impedance"])))
+
+
+@FUZZ
+@given(keys=SCALER_KEYS, value=JSON_VALUES, whole=st.none() | JSON_VALUES)
+@example(keys=("features", "std", 0), value=0, whole=None)
+@example(keys=("targets", "mean", 1), value=10 ** 400, whole=None)
+def test_scaler_fuzz(registry, keys, value, whole):
+    directory, _, model = registry
+    (directory / "mutated.model").write_bytes(b"\n".join(model))
+    (directory / "mutated.scaler.json").write_bytes(
+        mutated((directory / "peanut.scaler.json").read_bytes(), keys, value, whole))
+    loads_or_format_error(lambda: TrainedModel.load(directory, "mutated"))
+
+
+@FUZZ
+@given(keys=st.sampled_from([("format",), ("models",)])
+       | st.tuples(st.just("models"),
+                   st.sampled_from(["classifier", "peanut", "kite", "star", "blob"])
+                   | st.text(max_size=6)),
+       value=JSON_VALUES, whole=st.none() | JSON_VALUES)
+@example(keys=("models", "blob"), value={}, whole=None)
+def test_manifest_fuzz(registry, keys, value, whole):
+    directory, manifest, _ = registry
+    (directory / "manifest.json").write_bytes(mutated(manifest, keys, value, whole))
+    loads_or_format_error(lambda: ModelRegistry.load(directory))
