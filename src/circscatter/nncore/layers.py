@@ -74,16 +74,17 @@ def conv_output_length(t: int, stride: int) -> int:
     return -(-t // stride)
 
 
-def _use_fft(nb: int, k: int, stride: int) -> bool:
+def _use_fft(nb: int, k: int, stride: int, spectrum_paid: bool = False) -> bool:
     """The one algorithm choice of circular_conv_forward: FFT for stride-1
-    convs with a long kernel at a large enough batch, im2col elsewhere.
+    convs with a long kernel at a large enough batch, or at any batch once
+    the filter spectrum is paid; im2col elsewhere.
 
     im2col costs about B*T*K*C*N_f multiply-adds; the FFT path's DFT GEMMs
-    and per-frequency channel products do not grow with K, and its filter
-    spectrum is paid once per batch, so the crossover is mostly a product
-    B*K.  Forward/backward ms, im2col -> FFT, at T=64, C=N_f=128
-    (``perfbench/run.py --profile ap10 --batch B``, 2-vCPU VM, one BLAS
-    thread, median of five runs):
+    and per-frequency channel products do not grow with K.  Computed per
+    call, its filter spectrum costs more than a whole batch-1 im2col conv,
+    so the crossover is mostly a product B*K.  Forward/backward ms, im2col
+    -> FFT, at T=64, C=N_f=128 (``perfbench/run.py --profile ap10 --batch
+    B``, 2-vCPU VM, one BLAS thread, median of five runs):
 
         B     K=15                    K=31
         1     0.79/1.15 -> 2.95/4.84  1.47/2.53 -> 2.93/5.22
@@ -93,21 +94,38 @@ def _use_fft(nb: int, k: int, stride: int) -> bool:
         50    22.1/40.6 -> 10.0/11.2  40.4/89.1 -> 10.5/11.5
         160   83.6/166  -> 25.4/33.6  170/324   -> 25.6/36.5
 
-    The forward crossover, which evaluation sees alone, is near B=11 for
-    K=15 and B=5 for K=31: B*K >= 160, and batch 1 stays on im2col.  Below
-    K=15 (ap1/ap2/ap4, ap7/ap10's first two layers, the attention mix)
-    im2col stays, keeping those presets' trained bits; a strided conv is
-    not a circular correlation.
+    The forward crossover is near B=11 for K=15 and B=5 for K=31:
+    B*K >= 160.  Train mode, whose weights change every step, stays on
+    that rule.  An eval-mode network_forward reads the spectrum from its
+    Parameters' memo (``spectrum_paid``), built once per parameter
+    version, and then the FFT forward wins at every batch.  Forward ms,
+    im2col -> FFT with the spectrum paid, same layer and VM (the im2col
+    GEMM against circular_conv_forward with a dict as its memo, median of
+    20 calls):
+
+        B     K=15           K=31
+        1     0.41 -> 0.23   0.84 -> 0.23
+        4     1.11 -> 0.66   2.23 -> 0.64
+        12    3.63 -> 1.14   8.51 -> 1.56
+        50    17.4 -> 4.51   45.3 -> 4.39
+
+    Below K=15 (ap1/ap2/ap4, ap7/ap10's first two layers, the attention
+    mix) im2col stays, keeping those presets' trained bits; a strided conv
+    is not a circular correlation.
     """
-    return stride == 1 and k >= 15 and nb * k >= 160
+    return stride == 1 and k >= 15 and (spectrum_paid or nb * k >= 160)
 
 
-def circular_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
+def circular_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
+                          memo=None):
     """Y[i, j] = sum_{k, c} W[j, k, c] * Xpad[i*S + k, c] + b[j].
 
     x: (B, T, C); w: (N_f, K, C); b: (N_f,).  Returns ((B, T_out, N_f), cache).
     The algorithm (im2col or FFT, see _use_fft) is chosen here, and the
-    cache tells circular_conv_backward which one ran.
+    cache tells circular_conv_backward which one ran.  ``memo``, when
+    given, is a dict that lives as long as w stays unchanged (this layer's
+    Parameters.memos entry); the FFT path then takes its filter spectrum
+    from it, computing it on the first call.
     """
     nb, t, c = x.shape
     nf, k, cin = w.shape
@@ -115,8 +133,14 @@ def circular_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: i
         raise ValidationError(f"conv expects {cin} input channels, got {c}")
     if b.shape != (nf,):
         raise ValidationError("bias shape must be (filters,)")
-    if _use_fft(nb, k, stride):
-        return _fft_conv_forward(x, w, b)
+    if _use_fft(nb, k, stride, memo is not None):
+        dtype = np.result_type(x, w)
+        g_conj = None if memo is None else memo.get((t, dtype))
+        if g_conj is None:
+            g_conj = filter_spectrum(w, t, dtype)
+            if memo is not None:
+                memo[(t, dtype)] = g_conj
+        return _fft_conv_forward(x, g_conj, b, k)
     padded = np.ascontiguousarray(circular_pad(x, k))
     t_out = conv_output_length(t, stride)
     sb, st, sc = padded.strides
@@ -155,8 +179,8 @@ def circular_conv_backward(dy: np.ndarray, cache, need_dx: bool = True):
 
 
 class _FFTCache(NamedTuple):
-    x_hat: np.ndarray   # (B, F, C) input spectrum, F = T//2 + 1
-    g_hat: np.ndarray   # (N_f, F, C) folded-filter spectrum
+    x_hat: np.ndarray    # (B, F, C) input spectrum, F = T//2 + 1
+    g_conj: np.ndarray   # (F, C, N_f) conjugated filter spectrum (filter_spectrum)
     t: int
     k: int
 
@@ -182,7 +206,7 @@ def _dft_tables(t: int, k: int, dtype: np.dtype):
 
 
 def _rdft(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Complex (..., F, C) spectrum of x (..., R, C): one GEMM with fwd or fwd_taps."""
+    """Complex (..., F, C) spectrum of x (..., R, C): one GEMM with fwd."""
     parts, f = table @ x, table.shape[0] // 2
     spec = np.empty(parts.shape[:-2] + (f, parts.shape[-1]), np.result_type(parts, np.complex64))
     spec.real, spec.imag = parts[..., :f, :], parts[..., f:, :]
@@ -195,29 +219,44 @@ def _irdft(table: np.ndarray, spec: np.ndarray) -> np.ndarray:
     return (table @ parts).reshape((len(table),) + spec.shape[1:])
 
 
-def _fft_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Stride-1 circular conv as a circular correlation with the taps folded
-    mod T: Y^[f] = X^[f] conj(G^[f]) per frequency, summed over channels.
-    Transforms are GEMMs with _dft_tables; G^ is taken from the taps."""
-    k, t = w.shape[1], x.shape[1]
-    fwd, inv, fwd_taps, _ = _dft_tables(t, k, np.result_type(x, w))
-    g_hat, x_hat = _rdft(fwd_taps, w), _rdft(fwd, x)
+def filter_spectrum(w: np.ndarray, t: int, dtype) -> np.ndarray:
+    """conj(G^) of taps w (N_f, K, C) folded mod t, computed in float dtype,
+    in the contiguous (F, C, N_f) layout the FFT forward's per-frequency
+    product reads.  G^ is the DFT matrix's columns at the tap rows times
+    the taps (one GEMM), so taps that wrap past t sum."""
+    dtype = np.dtype(dtype)
+    nf, k, c = w.shape
+    f = t // 2 + 1
+    parts = _dft_tables(t, k, dtype)[2] @ w.astype(dtype, copy=False)   # (N_f, 2F, C)
+    g_conj = np.empty((f, c, nf), np.result_type(dtype, np.complex64))
+    g_conj.real = parts[:, :f].transpose(1, 2, 0)
+    np.negative(parts[:, f:].transpose(1, 2, 0), out=g_conj.imag)
+    return g_conj
+
+
+def _fft_conv_forward(x: np.ndarray, g_conj: np.ndarray, b: np.ndarray, k: int):
+    """Stride-1 circular conv as a circular correlation with the K taps
+    folded mod T: Y^[f] = X^[f] conj(G^[f]) per frequency, summed over
+    channels, with conj(G^) from filter_spectrum.  Transforms are GEMMs
+    with _dft_tables."""
+    t = x.shape[1]
+    fwd, inv, _, _ = _dft_tables(t, k, np.result_type(x, g_conj.real))
+    x_hat = _rdft(fwd, x)
     # one (B, C) @ (C, N_f) product per frequency
-    y = _irdft(inv, x_hat.transpose(1, 0, 2) @ g_hat.transpose(1, 2, 0).conj())
-    y = y.transpose(1, 0, 2)
+    y = _irdft(inv, x_hat.transpose(1, 0, 2) @ g_conj).transpose(1, 0, 2)
     y += b
-    return y, _FFTCache(x_hat, g_hat, t, k)
+    return y, _FFTCache(x_hat, g_conj, t, k)
 
 
 def _fft_conv_backward(dy: np.ndarray, cache: _FFTCache, need_dx: bool):
     """dX^ = dY^ G^ and dG^ = sum over the batch of conj(dY^) X^; dW is
     the inverse of dG^ at the taps' rows only."""
-    x_hat, g_hat, t, k = cache
+    x_hat, g_conj, t, k = cache
     fwd, inv, _, inv_taps = _dft_tables(t, k, dy.dtype)
     dy_hat = _rdft(fwd, dy).transpose(1, 0, 2)                       # (F, B, N_f)
     dx = None
     if need_dx:
-        dx = _irdft(inv, dy_hat @ g_hat.transpose(1, 0, 2)).transpose(1, 0, 2)
+        dx = _irdft(inv, dy_hat @ g_conj.conj().transpose(0, 2, 1)).transpose(1, 0, 2)
     dg_hat = dy_hat.transpose(0, 2, 1).conj() @ x_hat.transpose(1, 0, 2)   # (F, N_f, C)
     return dx, _irdft(inv_taps, dg_hat).transpose(1, 0, 2), dy.sum(axis=(0, 1))
 

@@ -46,7 +46,9 @@ class LayerSpec:
     - ``param_shapes(shape_in)``: name -> (shape, fans) in the order
       init_parameters draws them, fans being (fan_in, fan_out) for Glorot
       weights and None for biases and LayerNorm terms;
-    - ``forward(group, h, rng, train)`` -> (output, cache);
+    - ``forward(group, h, rng, train, memo=None)`` -> (output, cache);
+      ``memo`` is None in train mode and, in eval mode, this layer's
+      Parameters.memos dict, for values computed from its parameters alone;
     - ``backward(group, d, cache, need_dx)`` -> (input gradient, parameter
       grads); when ``need_dx`` is false the input gradient is not wanted,
       and a kind may skip its work and return None in its place.
@@ -73,8 +75,9 @@ class Conv(LayerSpec):
         c, k, nf = shape_in[1], self.kernel_size, self.filters
         return {"w": ((nf, k, c), (k * c, k * nf)), "b": ((nf,), None)}
 
-    def forward(self, group, h, rng, train):
-        z, conv_cache = layers.circular_conv_forward(h, group["w"], group["b"], self.stride)
+    def forward(self, group, h, rng, train, memo=None):
+        z, conv_cache = layers.circular_conv_forward(h, group["w"], group["b"], self.stride,
+                                                     memo)
         h, sw_cache = layers.swish_forward(z)
         return h, (conv_cache, sw_cache)
 
@@ -108,7 +111,7 @@ class Attention(LayerSpec):
                 "w1": ((hidden, c), (c, hidden)), "b1": ((hidden,), None),
                 "w2": ((c, hidden), (hidden, c)), "b2": ((c,), None)}
 
-    def forward(self, group, h, rng, train):
+    def forward(self, group, h, rng, train, memo=None):
         return layers.attention_forward(h, group)
 
     def backward(self, group, d, cache, need_dx):
@@ -133,7 +136,7 @@ class Bottleneck(LayerSpec):
         c, nb = shape_in[1], self.channels
         return {"w": ((c, nb), (c, nb)), "b": ((nb,), None)}
 
-    def forward(self, group, h, rng, train):
+    def forward(self, group, h, rng, train, memo=None):
         return layers.bottleneck_forward(h, group["w"], group["b"])
 
     def backward(self, group, d, cache, need_dx):
@@ -151,7 +154,7 @@ class Flatten(LayerSpec):
     def param_shapes(self, shape_in):
         return {}
 
-    def forward(self, group, h, rng, train):
+    def forward(self, group, h, rng, train, memo=None):
         return h.reshape(h.shape[0], -1), h.shape
 
     def backward(self, group, d, cache, need_dx):
@@ -187,7 +190,7 @@ class Dense(LayerSpec):
             group["ln_shift"] = ((units,), None)
         return group
 
-    def forward(self, group, h, rng, train):
+    def forward(self, group, h, rng, train, memo=None):
         z, dense_cache = layers.dense_forward(h, group["w"], group["b"])
         h, sw_cache = layers.swish_forward(z)
         ln_cache = None
@@ -232,7 +235,7 @@ class Output(LayerSpec):
         units = self.units
         return {"w": ((units, shape_in), (shape_in, units)), "b": ((units,), None)}
 
-    def forward(self, group, h, rng, train):
+    def forward(self, group, h, rng, train, memo=None):
         z, dense_cache = layers.dense_forward(h, group["w"], group["b"])
         probs = layers.softmax(z) if self.activation == "softmax" else None
         return (z if probs is None else probs), (dense_cache, probs)
@@ -334,6 +337,15 @@ class Parameters:
 
     ``version`` increments on every optimizer step so that stale
     forward caches can be rejected by the backward pass.
+
+    ``memos[i]`` is layer i's memo, a dict of values that eval-mode passes
+    compute from that layer's parameters alone: the conjugated filter
+    spectrum of each stride-1, K >= 15 conv (layers.filter_spectrum),
+    keyed by input length and dtype.  A train-mode pass and setting
+    ``version`` empty them, so a training step holds no spectra; ``copy``,
+    ``zeros_like`` and load_model start with empty ones.  Code that writes
+    through the views outside an optimizer step must bump ``version`` too,
+    or an eval pass reads the spectra of the old values.
     """
 
     def __init__(self, layout: list[dict], vector: np.ndarray):
@@ -348,7 +360,21 @@ class Parameters:
                 group[name] = vector[start:start + size].reshape(shapes[name])
                 start += size
             self.layers.append(group)
-        self.version = 0
+        self.memos = [{} for _ in layout]
+        self._version = 0
+
+    @property
+    def version(self) -> int:
+        return self._version
+
+    @version.setter
+    def version(self, value: int) -> None:
+        self.clear_memos()
+        self._version = value
+
+    def clear_memos(self) -> None:
+        for memo in self.memos:
+            memo.clear()
 
     def arrays(self):
         """Deterministic iteration: layer order, then sorted key order."""
@@ -420,7 +446,10 @@ def network_forward(spec: NetworkSpec, params: Parameters, x: np.ndarray,
     """Run the network on a (B, T, C) batch.
 
     Returns the output matrix in eval mode, or (output, cache) in train
-    mode; the cache feeds network_backward.
+    mode; the cache feeds network_backward.  An eval pass drops each
+    layer's cache as soon as the layer has run, and its long-kernel convs
+    read their filter spectra from the params' memo; a train pass drops
+    the memo.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -428,15 +457,19 @@ def network_forward(spec: NetworkSpec, params: Parameters, x: np.ndarray,
     if x.ndim != 3 or x.shape[1:] != (spec.input_t, spec.input_c):
         raise ValidationError(
             f"input must be (B, {spec.input_t}, {spec.input_c}), got {x.shape}")
-    train = mode == "train"
     h = x
+    if mode == "eval":
+        for layer, group, memo in zip(spec.layers, params.layers, params.memos):
+            h = layer.forward(group, h, rng, False, memo)[0]
+        return h
+    # the step this pass feeds changes the parameters: a memo built by an
+    # eval pass before it (a validation pass) would only add to its peak
+    params.clear_memos()
     caches = []
     for layer, group in zip(spec.layers, params.layers):
-        h, cache = layer.forward(group, h, rng, train)
+        h, cache = layer.forward(group, h, rng, True)
         caches.append(cache)
-    if train:
-        return h, NetworkCache(caches, params.version)
-    return h
+    return h, NetworkCache(caches, params.version)
 
 
 def network_backward(spec: NetworkSpec, params: Parameters, cache: NetworkCache,
@@ -459,10 +492,10 @@ def forward_features(spec: NetworkSpec, params: Parameters, x: np.ndarray) -> np
     """Eval-mode pass stopping just before Flatten; returns the (B, T, C)
     feature tensor (used to probe shift equivariance)."""
     h = np.asarray(x)
-    for layer, group in zip(spec.layers, params.layers):
+    for layer, group, memo in zip(spec.layers, params.layers, params.memos):
         if isinstance(layer, Flatten):
             return h
-        h, _ = layer.forward(group, h, None, False)
+        h = layer.forward(group, h, None, False, memo)[0]
     raise ValidationError("spec has no Flatten layer")
 
 

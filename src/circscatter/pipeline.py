@@ -22,6 +22,7 @@ from .errors import (
     DegenerateShapeError,
     FormatError,
     LayoutError,
+    NumericError,
     ValidationError,
 )
 from .geometry import (
@@ -56,6 +57,11 @@ def registry_name(class_tag: int | None) -> str:
 
 # registry name -> class tag (None for the classifier)
 _REGISTRY_TAGS = {registry_name(tag): tag for tag in (None, *map(int, ShapeClass))}
+
+
+def _is_shape_class(tag) -> bool:
+    """An int (not a bool, not None) naming a ShapeClass."""
+    return type(tag) is int and tag in _REGISTRY_TAGS.values()
 
 
 def _registry_tag(name: str) -> int | None:
@@ -214,19 +220,29 @@ class TrainedModel:
         """The network's answers for standardized feature rows ``x``:
         labels from ``classes`` for a classifier, parameters in original
         units (through the target scaler) for a regressor.  Every label
-        or parameter prediction, and every score, goes through here."""
-        out = forward_eval(self.spec, self.params, x)
+        or parameter prediction, and every score, goes through here; a
+        non-finite answer from finite inputs is a NumericError."""
+        out = self._outputs(x)
         if self.spec.task == "class":
             return self.labels(out)
         out = out.astype(np.float64)
         return out if self.target_scaler is None else self.target_scaler.invert(out)
+
+    def _outputs(self, x: np.ndarray) -> np.ndarray:
+        """The network's raw outputs for standardized rows ``x``; a
+        non-finite output from finite inputs is a NumericError."""
+        out = forward_eval(self.spec, self.params, x)
+        if not np.isfinite(out).all() and np.isfinite(x).all():
+            raise NumericError(f"{self.preset} network gave a non-finite output "
+                               "from finite inputs")
+        return out
 
     def labels(self, probs: np.ndarray) -> np.ndarray:
         """The class label of each row of class probabilities."""
         return np.asarray(self.classes)[np.argmax(probs, axis=1)]
 
     def predict_probs(self, raw_features: np.ndarray) -> np.ndarray:
-        return forward_eval(self.spec, self.params, self._standardize(raw_features, "class"))
+        return self._outputs(self._standardize(raw_features, "class"))
 
     def predict_labels(self, raw_features: np.ndarray) -> np.ndarray:
         return self.answers(self._standardize(raw_features, "class"))
@@ -304,6 +320,16 @@ class TrainedModel:
             if scaler is not None and len(scaler.mean) != want:
                 raise FormatError(f"{name}.scaler.json: {kind} scaler has "
                                   f"{len(scaler.mean)} entries, the model needs {want}")
+        # the meta must say what the spec's task needs: a classifier's
+        # label for each output, a regressor's shape class
+        if spec.task == "class":
+            if not (classes is not None and all(map(_is_shape_class, classes))
+                    and len(set(classes)) == len(classes) == spec.output_dim):
+                raise FormatError(f"{name}.scaler.json: classes {meta['classes']!r} are not "
+                                  f"{spec.output_dim} distinct shape class tags, one per output")
+        elif not _is_shape_class(model.class_tag):
+            raise FormatError(f"{name}.scaler.json: class tag {model.class_tag!r} of a "
+                              "regressor is not a shape class tag")
         return model
 
 

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from circscatter import dataio
+from circscatter import dataio, pipeline
 from circscatter.cli import main
+from circscatter.nncore import init_parameters, preset_spec, save_model
 
 
 def run(*argv):
@@ -306,6 +307,54 @@ def test_wrongly_typed_scaler_exit_code(trained_run, tmp_path, member, key, valu
     rc = run("evaluate", "--model", str(tmp_path / "peanut"), "--data", str(data))
     assert rc == 4
     assert "peanut.scaler.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("class_tag", [None, 7, "peanut"], ids=["null", "seven", "text"])
+def test_regressor_meta_without_a_shape_class_exit_code(trained_run, tmp_path, class_tag,
+                                                        capsys):
+    # a regressor's scaler meta must name its shape class: exit 4, not
+    # the exit 2 that building its shapes would end in
+    out, data = trained_run
+    shutil.copy(out / "peanut.model", tmp_path / "peanut.model")
+    blob = json.loads((out / "peanut.scaler.json").read_text())
+    blob["meta"]["class_tag"] = class_tag
+    (tmp_path / "peanut.scaler.json").write_text(json.dumps(blob))
+    rc = run("evaluate", "--model", str(tmp_path / "peanut"), "--data", str(data))
+    assert rc == 4
+    assert "peanut.scaler.json: class tag" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("classes", [None, [1, 2], [1, 2, 3, 3], [1, 2, 9], [1, 1, 3]],
+                         ids=["null", "too-few", "too-many", "not-a-class", "repeated"])
+def test_classifier_meta_classes_must_match_its_outputs_exit_code(tmp_path, classes, capsys):
+    # a classifier's scaler meta needs one distinct shape class per output:
+    # exit 4
+    spec = preset_spec("ap1")
+    scaler = dataio.Standardizer(np.zeros(64), np.ones(64))
+    pipeline.TrainedModel(spec, init_parameters(spec, 0), scaler, None, preset="ap1", seed=0,
+                          classes=(1, 2, 3)).save(tmp_path, "classifier")
+    path = tmp_path / "classifier.scaler.json"
+    blob = json.loads(path.read_text())
+    blob["meta"]["classes"] = classes
+    path.write_text(json.dumps(blob))
+    rc = run("evaluate", "--model", str(tmp_path / "classifier"),
+             "--data", str(tmp_path / "none.csc"))
+    assert rc == 4
+    assert "classifier.scaler.json: classes" in capsys.readouterr().err
+
+
+def test_nonfinite_answer_from_finite_inputs_exit_code(trained_run, tmp_path, capsys):
+    # every weight at 3e38 overflows float32 in the first layer: a
+    # numeric failure, exit 3, not NaN metrics and exit 0
+    out, data = trained_run
+    shutil.copy(out / "peanut.scaler.json", tmp_path / "peanut.scaler.json")
+    model = pipeline.TrainedModel.load(out, "peanut")
+    model.params.vector[:] = 3e38
+    save_model(tmp_path / "peanut.model", model.spec, model.params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = run("evaluate", "--model", str(tmp_path / "peanut"), "--data", str(data))
+    assert rc == 3
+    assert "non-finite output from finite inputs" in capsys.readouterr().err
 
 
 def test_nonfinite_model_parameter_exit_code(trained_run, tmp_path, capsys):

@@ -187,6 +187,13 @@ def test_conv_strided_shift_by_stride():
 
 # FFT path, called directly: odd and even T, and K > T (the taps wrap
 # around the circle more than once)
+def fft_forward(x, w, b):
+    """The FFT forward at any batch and kernel size, its filter spectrum
+    computed from the taps."""
+    g_conj = layers.filter_spectrum(w, x.shape[1], np.result_type(x, w))
+    return layers._fft_conv_forward(x, g_conj, b, w.shape[1])
+
+
 FFT_SHAPES = [(7, 5), (8, 5), (8, 31), (7, 31), (1, 3), (2, 4)]
 
 
@@ -196,7 +203,7 @@ def test_fft_conv_matches_direct_sum(t, k):
     x = rng.standard_normal((2, t, 3))
     w = rng.standard_normal((4, k, 3))
     b = rng.standard_normal(4)
-    y, cache = layers._fft_conv_forward(x, w, b)
+    y, cache = fft_forward(x, w, b)
     assert isinstance(cache, layers._FFTCache)
     padded = layers.circular_pad(x, k)
     ref = np.empty_like(y)
@@ -216,12 +223,12 @@ def test_fft_conv_gradients_match_fd(t, k):
     r = rng.standard_normal((2, t, 4))
 
     def loss():
-        return float(np.sum(layers._fft_conv_forward(x, w, b)[0] * r))
+        return float(np.sum(fft_forward(x, w, b)[0] * r))
 
     # the loss is linear in each of x, w and b, so a central difference
     # has no truncation error at any step; a large step keeps the
     # cancellation error of (fp - fm) / 2h far below atol
-    _, cache = layers._fft_conv_forward(x, w, b)
+    _, cache = fft_forward(x, w, b)
     dx, dw, db = layers.circular_conv_backward(r, cache)
     npt.assert_allclose(dx, fd_grad(loss, x, h=1e-3), atol=1e-8)
     npt.assert_allclose(dw, fd_grad(loss, w, h=1e-3), atol=1e-8)
@@ -234,9 +241,9 @@ def test_fft_conv_shift_equivariance(t, k):
     x = rng.standard_normal((2, t, 3))
     w = rng.standard_normal((4, k, 3))
     b = rng.standard_normal(4)
-    y, _ = layers._fft_conv_forward(x, w, b)
+    y, _ = fft_forward(x, w, b)
     for m in range(1, t):
-        ys, _ = layers._fft_conv_forward(np.roll(x, m, axis=1), w, b)
+        ys, _ = fft_forward(np.roll(x, m, axis=1), w, b)
         assert np.abs(ys - np.roll(y, m, axis=1)).max() <= 1e-10
 
 
@@ -269,7 +276,7 @@ def test_fft_conv_keeps_float32():
     x = rng.standard_normal((3, 9, 4)).astype(np.float32)
     w = rng.standard_normal((5, 15, 4)).astype(np.float32)
     b = rng.standard_normal(5).astype(np.float32)
-    y, cache = layers._fft_conv_forward(x, w, b)
+    y, cache = fft_forward(x, w, b)
     dx, dw, db = layers.circular_conv_backward(np.ones_like(y), cache)
     assert y.dtype == dx.dtype == dw.dtype == db.dtype == np.float32
     assert cache.x_hat.dtype == np.complex64
@@ -287,7 +294,7 @@ def test_fft_conv_agrees_with_im2col_at_ap10_layer3(k):
     dy = rng.standard_normal((4, 64, 128)).astype(np.float32)
     assert not layers._use_fft(4, k, 1)
     y0, c0 = layers.circular_conv_forward(x, w, b, 1)
-    y1, c1 = layers._fft_conv_forward(x, w, b)
+    y1, c1 = fft_forward(x, w, b)
     for got, want in zip((y1,) + layers.circular_conv_backward(dy, c1),
                          (y0,) + layers.circular_conv_backward(dy, c0)):
         assert got.dtype == want.dtype == np.float32
@@ -295,26 +302,83 @@ def test_fft_conv_agrees_with_im2col_at_ap10_layer3(k):
 
 
 def test_conv_dispatch_rule():
-    # batch 1 and stride 2 stay on im2col; K=31 takes FFT from batch 6
-    # and K=15 from batch 11
+    # stride 2 stays on im2col; per call, K=31 takes FFT from batch 6 and
+    # K=15 from batch 11; with the filter spectrum paid, K >= 15 takes FFT
+    # at every batch
     assert not layers._use_fft(1, 31, 1)
     assert not layers._use_fft(128, 31, 2)
     assert not layers._use_fft(5, 31, 1) and layers._use_fft(6, 31, 1)
     assert not layers._use_fft(10, 15, 1) and layers._use_fft(11, 15, 1)
+    assert layers._use_fft(1, 15, 1, spectrum_paid=True)
+    assert not layers._use_fft(1, 14, 1, spectrum_paid=True)
+    assert not layers._use_fft(128, 31, 2, spectrum_paid=True)
     # every conv (and attention mix) of the five presets at one-row,
     # small, training and evaluation batches: only ap7/ap10's K=15 and
-    # K=31 layers take FFT, and never at batch 1
-    first_fft_batch = {15: 11, 31: 6}
-    for name in ("ap1", "ap2", "ap4", "ap7", "ap10"):
-        spec = preset_spec(name)
-        for i, layer in enumerate(spec.layers):
-            for batch in (1, 8, 16, 128, 160):
-                if isinstance(layer, Conv):
-                    want = batch >= first_fft_batch.get(layer.kernel_size, math.inf)
-                    assert layers._use_fft(batch, layer.kernel_size,
-                                           layer.stride) == want, (name, i, batch)
-                elif isinstance(layer, Attention):
-                    assert not layers._use_fft(batch, layer.mix_kernel, 1)
+    # K=31 layers take FFT; per call never at batch 1, and with the
+    # spectrum paid (eval mode) at every batch
+    for paid, first_fft_batch in ((False, {15: 11, 31: 6}), (True, {15: 1, 31: 1})):
+        for name in ("ap1", "ap2", "ap4", "ap7", "ap10"):
+            spec = preset_spec(name)
+            for i, layer in enumerate(spec.layers):
+                for batch in (1, 8, 16, 128, 160):
+                    if isinstance(layer, Conv):
+                        want = batch >= first_fft_batch.get(layer.kernel_size, math.inf)
+                        assert layers._use_fft(batch, layer.kernel_size, layer.stride,
+                                               paid) == want, (name, i, batch, paid)
+                    elif isinstance(layer, Attention):
+                        assert not layers._use_fft(batch, layer.mix_kernel, 1, paid)
+
+
+@pytest.mark.parametrize("t,k", [(8, 5), (7, 31), (64, 15)])
+def test_filter_spectrum_is_the_conjugated_folded_tap_spectrum(t, k):
+    # conj(G^) of the taps folded mod t, laid out (F, C, N_f) contiguous
+    rng = np.random.default_rng(40 + k)
+    w = rng.standard_normal((4, k, 3))
+    g = layers.filter_spectrum(w, t, np.float64)
+    assert g.shape == (t // 2 + 1, 3, 4) and g.flags.c_contiguous
+    folded = np.zeros((4, t, 3))
+    left = layers.pad_lengths(k)[0]
+    for kk in range(k):
+        folded[:, (kk - left) % t] += w[:, kk]
+    want = np.conj(np.fft.rfft(folded, axis=1)).transpose(1, 2, 0)
+    npt.assert_allclose(g, want, rtol=0, atol=1e-12 * k * np.abs(w).max())
+    assert layers.filter_spectrum(w.astype(np.float32), t, np.float32).dtype == np.complex64
+
+
+@pytest.mark.parametrize("k", [31, 15], ids=["k31", "k15"])
+def test_conv_memo_is_bitwise_the_per_call_fft_path(k):
+    # at batches that take FFT per call anyway, a memoized spectrum gives
+    # the bits of the per-call one, forward and backward; at batch 1 the
+    # memo moves the layer from im2col to FFT, within float32 rounding
+    rng = np.random.default_rng(9)
+    lim = np.sqrt(6.0 / (2 * k * 128))
+    w = rng.uniform(-lim, lim, (128, k, 128)).astype(np.float32)
+    b = rng.standard_normal(128).astype(np.float32)
+    memo = {}
+    for nb in (11, 16, 128):
+        x = rng.standard_normal((nb, 64, 128)).astype(np.float32)
+        dy = rng.standard_normal((nb, 64, 128)).astype(np.float32)
+        y0, c0 = layers.circular_conv_forward(x, w, b, 1)
+        assert isinstance(c0, layers._FFTCache)
+        for _ in range(2):
+            y1, c1 = layers.circular_conv_forward(x, w, b, 1, memo)
+            # the spectrum is computed on the first call, then read
+            key = (64, np.dtype(np.float32))
+            assert list(memo) == [key] and c1.g_conj is memo[key]
+            assert y1.tobytes() == y0.tobytes()
+            for got, want in zip(layers.circular_conv_backward(dy, c1),
+                                 layers.circular_conv_backward(dy, c0)):
+                assert got.tobytes() == want.tobytes()
+    x = rng.standard_normal((1, 64, 128)).astype(np.float32)
+    y0, c0 = layers.circular_conv_forward(x, w, b, 1)
+    y1, c1 = layers.circular_conv_forward(x, w, b, 1, memo)
+    assert not isinstance(c0, layers._FFTCache) and isinstance(c1, layers._FFTCache)
+    assert np.abs(y1 - y0).max() <= 1e-5 * np.abs(y0).max()
+    # a K < 15 or strided conv leaves the memo alone
+    _, c5 = layers.circular_conv_forward(x, w[:, :5], b, 1, {})
+    _, c2 = layers.circular_conv_forward(x, w, b, 2, memo)
+    assert not isinstance(c5, layers._FFTCache) and not isinstance(c2, layers._FFTCache)
+    assert len(memo) == 1
 
 
 def test_conv_forward_dispatches_on_ap10_layer2_at_batch_128():

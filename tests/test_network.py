@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from circscatter import errors
+from circscatter import errors, training
 from circscatter.nncore import (
     Attention,
     Bottleneck,
@@ -297,6 +298,118 @@ def test_forward_features_pre_flatten():
     # with a leading Flatten the pre-flatten features are the input itself
     lead = NetworkSpec(8, 2, (Flatten(), Output(2, "linear")), "reg")
     npt.assert_array_equal(forward_features(lead, init_parameters(lead, 0), x), x)
+
+
+# ---------------------------------------------------------------- eval passes
+
+
+def forward_keeping_caches(spec, params, x, use_memos=False):
+    """An eval pass through each layer's forward that keeps every layer's
+    cache; without the params' memos each filter spectrum is computed per
+    call, so a long-kernel conv below the B*K rule runs im2col."""
+    h, caches = x, []
+    memos = params.memos if use_memos else [None] * len(spec.layers)
+    for layer, group, memo in zip(spec.layers, params.layers, memos):
+        h, cache = layer.forward(group, h, None, False, memo)
+        caches.append(cache)
+    return h
+
+
+def memoized_layers(params):
+    return [i for i, memo in enumerate(params.memos) if memo]
+
+
+def preset_input(spec, batch, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((batch, spec.input_t, spec.input_c)).astype(np.float32)
+
+
+@pytest.mark.parametrize("preset", ["ap7", "ap10"])
+def test_eval_memo_is_bitwise_the_per_call_fft_path(preset):
+    # at batch 16 both long-kernel convs take FFT per call too (B*K >= 160);
+    # the memoized spectra give the same bits, built once and then read
+    spec = preset_spec(preset)
+    params = init_parameters(spec, seed=1)
+    x = preset_input(spec, 16)
+    want = forward_keeping_caches(spec, params, x)
+    for _ in range(2):
+        assert network_forward(spec, params, x).tobytes() == want.tobytes()
+    assert memoized_layers(params) == [2, 3]   # the K=15 and K=31 convs
+
+
+@pytest.mark.parametrize("preset", ["ap7", "ap10"])
+def test_one_row_eval_takes_fft_and_agrees(preset, monkeypatch):
+    # one row runs its K=15 and K=31 convs on FFT with the memoized
+    # spectra; within float32 rounding of im2col and of the batched answer
+    spec = preset_spec(preset)
+    params = init_parameters(spec, seed=2)
+    x = preset_input(spec, 8, seed=3)
+    batched = network_forward(spec, params, x)
+    ffts = []
+    real = layers._fft_conv_forward
+    monkeypatch.setattr(layers, "_fft_conv_forward",
+                        lambda *args: ffts.append(len(args[0])) or real(*args))
+    for i in range(3):
+        one = network_forward(spec, params, x[i:i + 1])
+        im2col = forward_keeping_caches(spec, params, x[i:i + 1])
+        scale = np.abs(im2col).max()
+        assert np.abs(one - im2col).max() <= 1e-5 * scale
+        assert np.abs(one - batched[i:i + 1]).max() <= 1e-5 * scale
+    assert ffts == [1, 1] * 3
+
+
+def test_train_pass_and_optimizer_step_drop_the_memo():
+    spec = preset_spec("ap7")
+    params = init_parameters(spec, seed=4)
+    x = preset_input(spec, 1, seed=5)
+    network_forward(spec, params, x)
+    assert memoized_layers(params) == [2, 3]
+    network_forward(spec, params, x, mode="train", rng=np.random.default_rng(0))
+    assert not memoized_layers(params)
+    before = network_forward(spec, params, x)
+    assert memoized_layers(params) == [2, 3]
+    grads = params.zeros_like()
+    grads.vector[:] = np.random.default_rng(6).standard_normal(grads.num_params)
+    training.adam_step(params, grads, training.init_adam(params), 1e-3)
+    assert not memoized_layers(params)
+    after = network_forward(spec, params, x)
+    assert after.tobytes() != before.tobytes()
+    assert after.tobytes() == network_forward(spec, params.copy(), x).tobytes()
+
+
+def test_copies_and_loaded_models_start_without_a_memo(tmp_path):
+    # and a forward, which fills the memo, leaves the .model bytes alone
+    spec = preset_spec("ap7")
+    params = init_parameters(spec, seed=7)
+    path = tmp_path / "net.model"
+    save_model(path, spec, params)
+    saved = path.read_bytes()
+    network_forward(spec, params, preset_input(spec, 1))
+    assert memoized_layers(params) == [2, 3]
+    for fresh in (params.copy(), params.zeros_like(), load_model(path)[1]):
+        assert not memoized_layers(fresh)
+    save_model(path, spec, params)
+    assert path.read_bytes() == saved
+
+
+def test_eval_pass_keeps_no_caches():
+    # each layer's cache goes once the layer has run: the same output
+    # bytes as a pass that keeps them all, at a lower traced peak
+    spec = preset_spec("ap7")
+    params = init_parameters(spec, seed=8)
+    x = preset_input(spec, 256, seed=9)
+    network_forward(spec, params, x[:1])   # the memo is paid outside the peaks
+    peaks, outs = [], []
+    for run in (lambda: network_forward(spec, params, x),
+                lambda: forward_keeping_caches(spec, params, x, use_memos=True)):
+        tracemalloc.start()
+        try:
+            outs.append(run())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert outs[0].tobytes() == outs[1].tobytes()
+    assert peaks[0] < 0.75 * peaks[1], peaks
 
 
 def test_l2_penalty_value():
