@@ -4,8 +4,12 @@ Each option is declared once, on its subcommand's parser: flag, type,
 default and choices.  An optional JSON config file supplies the
 subcommand's defaults, each value parsed the way its option parses a
 flag, so explicit flags still win.  Commands never touch their inputs;
-outputs, including an archived copy of the resolved configuration, land
-under the run's output directory.
+outputs land under the run's output directory.  There, once a command
+returns (a failed gradient check included), ``main`` archives the run as
+``<command>_config.json``: the command name and every option of the
+subcommand as resolved from flags, config file and defaults, keyed by
+its dest.  Those are exactly the keys ``--config`` reads, so ``--config
+<out>/<command>_config.json --out <other>`` replays the run.
 
 Exit codes: 0 success, 2 validation problem, 3 numeric failure
 (divergence, failed gradient check), 4 I/O or malformed file (a config
@@ -169,16 +173,12 @@ def _parse_levels(text: str) -> list:
                               "expected comma-separated numbers") from None
 
 
-def _archive(out, command: str, resolved: dict, reports: dict | None = None) -> None:
-    """Under ``out``, if given: write each ``{file name: payload}`` of
-    ``reports``, then the resolved options as ``<command>_config.json``."""
-    if out is None:
-        return
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, payload in (reports or {}).items():
+def _write_report(args: argparse.Namespace, name: str, payload) -> None:
+    """Write ``payload`` as JSON file ``name`` under --out, if given."""
+    if args.out is not None:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_json(out_dir / name, payload)
-    write_json(out_dir / f"{command}_config.json", {"command": command, **resolved})
 
 
 def _resolve_suite(args: argparse.Namespace) -> str:
@@ -208,11 +208,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{suite}.csc"
     dataio.write_dataset(path, ds, binary=(args.file_format == "binary"))
-    _archive(out_dir, "generate", {
-        "suite": suite, "scale": args.scale, "seed": args.seed,
-        "fixed_lambda": args.fixed_lambda, "file_format": args.file_format,
-        "n": len(ds), "path": str(path),
-    })
     print(f"wrote {len(ds)} samples (t0={ds.t0}, c0={ds.c0}, task={ds.task}) "
           f"to {path}")
     return EXIT_OK
@@ -225,16 +220,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         ("epochs", "max_epochs"), ("lr", "learning_rate"), ("batch", "batch_size"),
         ("patience", "patience"), ("min_delta", "min_delta"), ("clip", "clip_norm"),
     ) if getattr(args, key) is not None}
-    levels = _parse_levels(args.noise_levels)
-
     result = pipeline.run_experiment(
         suite, out_dir=out_dir, scale=args.scale, seed=args.seed, data=args.data,
-        train_overrides=overrides, noise_levels=levels, noise_trials=args.trials,
-        verbose=args.verbose)
-    _archive(out_dir, "train", {
-        "suite": suite, "seed": args.seed, "scale": args.scale, "data": args.data,
-        "train_overrides": overrides, "noise_levels": levels, "trials": args.trials,
-    })
+        train_overrides=overrides, noise_levels=_parse_levels(args.noise_levels),
+        noise_trials=args.trials, verbose=args.verbose)
     clean = result.clean
     if suite == "classification":
         headline = f"test accuracy {clean.accuracy:.4f}"
@@ -268,24 +257,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         r2 = "n/a" if rep.r2 is None else f"{rep.r2:.6f}"
         print(f"R^2 {r2}, RMSE {rep.rmse:.6f}")
-    _archive(args.out, "evaluate", {"model": args.model, "data": args.data},
-             {f"{name}_eval.json": rep.to_json_dict()})
+    _write_report(args, f"{name}_eval.json", rep.to_json_dict())
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     model, name, ds = _load_model_and_data(args)
-    levels = _parse_levels(args.noise_levels)
-    table = pipeline.sweep_model(model, ds, levels=levels, trials=args.trials,
-                                 seed=args.seed)
+    table = pipeline.sweep_model(model, ds, levels=_parse_levels(args.noise_levels),
+                                 trials=args.trials, seed=args.seed)
     for row in table:
         cols = ", ".join(f"{k} {v:.6f}" if isinstance(v, float) else f"{k} {v}"
                          for k, v in row.items())
         print(cols)
-    _archive(args.out, "sweep", {
-        "model": args.model, "data": args.data, "noise_levels": levels,
-        "trials": args.trials, "seed": args.seed,
-    }, {f"{name}_sweep.json": table})
+    _write_report(args, f"{name}_sweep.json", table)
     return EXIT_OK
 
 
@@ -294,10 +278,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     out_dir = Path(_require(args, "out"))
     files = pipeline.reconstruct_samples(model, ds, out_dir, seed=args.seed,
                                          curve_points=args.curve_points)
-    _archive(out_dir, "reconstruct", {
-        "model": args.model, "data": args.data, "seed": args.seed,
-        "curve_points": args.curve_points,
-    })
     for kind, path in sorted(files.items()):
         print(f"{kind}: {path}")
     return EXIT_OK
@@ -309,13 +289,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         verdict = "PASS" if rep.passed else "FAIL"
         print(f"{name}: max_rel_err={rep.max_rel_error:.3e} "
               f"(< {args.tolerance:g}): {verdict}")
-    payload = {
-        name: {"max_rel_error": rep.max_rel_error, "passed": rep.passed,
-               "tolerance": rep.tolerance}
-        for name, rep in reports.items()
-    }
-    _archive(args.out, "gradcheck", {"seed": args.seed, "tolerance": args.tolerance},
-             {"gradcheck_report.json": payload})
+    _write_report(args, "gradcheck_report.json",
+                  {name: rep.to_json_dict() for name, rep in reports.items()})
     return EXIT_OK if all(rep.passed for rep in reports.values()) else EXIT_NUMERIC
 
 
@@ -327,7 +302,12 @@ def main(argv=None) -> int:
             command = commands[args.command]
             command.set_defaults(**_config_defaults(command, args.config))
             args = parser.parse_args(argv)
-        return args.run(args)
+        code = args.run(args)
+        # the command and its resolved options; not the handler, nor the
+        # config file, whose values the options now hold
+        _write_report(args, f"{args.command}_config.json",
+                      {k: v for k, v in vars(args).items() if k not in ("run", "config")})
+        return code
     except (NumericError, SamplingStuckError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -368,8 +368,8 @@ class Standardizer:
 
 def add_noise(rows: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray:
     """rows + level * standard normal draws, applied to standardized features."""
-    if level < 0:
-        raise ValidationError("noise level must be non-negative")
+    if not 0.0 <= level < math.inf:
+        raise ValidationError(f"noise level must be finite and >= 0, got {level!r}")
     return rows + level * rng.standard_normal(rows.shape)
 
 

@@ -193,9 +193,10 @@ def _harmonics(tau: np.ndarray) -> np.ndarray:
 
 
 def _radial_profile(shape: BoundaryShape, tau: np.ndarray):
-    """rho(tau) and rho'(tau) for the radial families; peanut returns rho**2
-    in the first slot of the extras tuple so callers can detect sign problems
-    before the square root."""
+    """rho(tau) and rho'(tau) for the radial families.  A peanut's rho is
+    sqrt(max(rho**2, 0)), so it is 0 exactly where rho**2 <= 0 (and NaN
+    where rho**2 is): ``rho <= 0`` flags a degenerate profile of either
+    family."""
     tag = shape.class_tag
     if tag == ShapeClass.PEANUT:
         alpha, beta = shape.coeffs
@@ -204,7 +205,7 @@ def _radial_profile(shape: BoundaryShape, tau: np.ndarray):
         rho = np.sqrt(np.maximum(rho_sq, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             drho = np.where(rho > 0.0, (beta - alpha) * s * c / np.where(rho > 0, rho, 1.0), 0.0)
-        return rho, drho, rho_sq
+        return rho, drho
     if tag == ShapeClass.STAR:
         coeffs = shape.coeffs
         alpha0 = coeffs[0]
@@ -219,7 +220,7 @@ def _radial_profile(shape: BoundaryShape, tau: np.ndarray):
             dacc = dacc + q * (-aq * sq + bq * cq) / (2.0 * STAR_Q)
         rho = alpha0 * acc
         drho = alpha0 * dacc
-        return rho, drho, rho
+        return rho, drho
     raise ValidationError(f"{tag.name.lower()} has no radial profile")
 
 
@@ -255,8 +256,8 @@ def eval_curve(shape: BoundaryShape, tau, allow_degenerate: bool = False):
         dy = gamma * c
         return np.stack([x, y], axis=1), np.stack([dx, dy], axis=1)
 
-    rho, drho, signed = _radial_profile(shape, tau)
-    if not allow_degenerate and np.any(signed <= 0.0):
+    rho, drho = _radial_profile(shape, tau)
+    if not allow_degenerate and np.any(rho <= 0.0):
         raise DegenerateShapeError(
             f"{tag.name.lower()} radial profile non-positive at some tau"
         )
@@ -336,10 +337,8 @@ def validate_shape(shape: BoundaryShape, config: ScatterConfig) -> ShapeDiagnost
     tau = boundary_grid(config.t_boundary)
     min_radial = None
     if shape.class_tag in (ShapeClass.PEANUT, ShapeClass.STAR):
-        rho, _, signed = _radial_profile(shape, tau)
-        min_radial = float(np.min(signed)) if shape.class_tag == ShapeClass.STAR else float(
-            np.min(np.sqrt(np.maximum(signed, 0.0)))
-        )
+        rho, _ = _radial_profile(shape, tau)
+        min_radial = float(np.min(rho))
         # this test and the norm test below are written negated, so a NaN
         # fails them
         if not min_radial > MIN_RADIAL:

@@ -230,8 +230,10 @@ class TrainedModel:
 
     def _outputs(self, x: np.ndarray) -> np.ndarray:
         """The network's raw outputs for standardized rows ``x``; a
-        non-finite output from finite inputs is a NumericError."""
-        out = forward_eval(self.spec, self.params, x)
+        non-finite output from finite inputs is a NumericError.  That check
+        reports an overflow, so numpy's own warnings are silenced."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = forward_eval(self.spec, self.params, x)
         if not np.isfinite(out).all() and np.isfinite(x).all():
             raise NumericError(f"{self.preset} network gave a non-finite output "
                                "from finite inputs")

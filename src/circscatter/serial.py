@@ -64,9 +64,11 @@ def read_json_object(path) -> dict:
 
 
 def write_json(path, obj) -> None:
-    """Write ``obj`` as indented, key-sorted JSON plus a newline, atomically."""
+    """Write ``obj`` as indented, key-sorted JSON plus a newline, atomically.
+    A NaN or infinite float is a ValueError: strict JSON has no such
+    number, and ``read_json_object`` would refuse the file."""
     with atomic_write(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

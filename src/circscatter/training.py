@@ -406,6 +406,12 @@ class GradCheckReport:
     def passed(self) -> bool:
         return self.max_rel_error < self.tolerance
 
+    def to_json_dict(self) -> dict:
+        """The verdict as JSON; a NaN error (from a NaN gradient) is null."""
+        error = None if math.isnan(self.max_rel_error) else self.max_rel_error
+        return {"max_rel_error": error, "passed": self.passed,
+                "tolerance": self.tolerance}
+
 
 def _gradcheck_spec() -> NetworkSpec:
     # tiny composition touching every layer kind
@@ -432,6 +438,9 @@ def grad_check(spec: NetworkSpec | None = None, seed: int = 0, h: float = 1e-6,
     Dropout masks are frozen by reseeding the mask rng identically for
     every loss evaluation, so the perturbed losses stay differentiable.
     """
+    if not 0.0 < tolerance < math.inf:
+        raise ValidationError(f"gradient check tolerance must be finite and > 0, "
+                              f"got {tolerance!r}")
     if spec is None:
         spec = _gradcheck_spec()
     rng = np.random.default_rng(seed)

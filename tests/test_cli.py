@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from circscatter import dataio, pipeline
+from circscatter import dataio, pipeline, training
 from circscatter.cli import main
 from circscatter.nncore import init_parameters, preset_spec, save_model
+from circscatter.serial import read_json_object
 
 
 def run(*argv):
@@ -26,7 +27,7 @@ def test_generate_writes_dataset_and_config(tmp_path):
     ds = dataio.read_dataset(tmp_path / "classification.csc")
     assert len(ds) == 9 and ds.classes == (1, 2, 3) and (ds.t0, ds.c0) == (32, 2)
     cfg = json.loads((tmp_path / "generate_config.json").read_text())
-    assert cfg["command"] == "generate" and cfg["n"] == 9 and cfg["seed"] == 7
+    assert cfg["command"] == "generate" and cfg["scale"] == 0.0001 and cfg["seed"] == 7
 
 
 def test_generate_deterministic(tmp_path):
@@ -70,7 +71,7 @@ def test_config_file_with_flag_override(tmp_path):
     rc = run("generate", "--config", str(cfg_path), "--scale", "0.0001")
     assert rc == 0  # flag --scale wins over the config's full scale
     archived = json.loads((tmp_path / "run" / "generate_config.json").read_text())
-    assert archived["n"] == 9 and archived["seed"] == 5
+    assert archived["scale"] == 0.0001 and archived["seed"] == 5
     # the same run given by flags alone, or by a config file alone (with a
     # null seed counting as absent, i.e. the default 0), writes the same bytes
     names = ("classification.csc", "generate_config.json")
@@ -107,6 +108,47 @@ def test_invalid_config_file(tmp_path, capsys):
         assert f"config key {key!r}" in capsys.readouterr().err
 
 
+# ----------------------------------------------------------------- archives
+
+
+# a run of each subcommand by flags; {model} and {data} stand for the
+# trained_run fixture's model prefix and dataset
+REPLAY_FLAGS = {
+    "generate": ["--suite", "kite", "--scale", "0.0002", "--seed", "3",
+                 "--format", "text"],
+    "train": ["--suite", "peanut", "--scale", "0.0004", "--seed", "1", "--epochs", "2",
+              "--lr", "1e-3", "--patience", "1", "--noise-levels", "0.01,0.05",
+              "--trials", "1"],
+    "evaluate": ["--model", "{model}", "--data", "{data}"],
+    "sweep": ["--model", "{model}", "--data", "{data}", "--noise-levels", "0.02",
+              "--trials", "2", "--seed", "4"],
+    "reconstruct": ["--model", "{model}", "--data", "{data}", "--seed", "2",
+                    "--curve-points", "16"],
+    "gradcheck": ["--seed", "1", "--tolerance", "1e-3"],
+}
+
+
+@pytest.mark.parametrize("command", REPLAY_FLAGS)
+def test_archive_replays_its_run(trained_run, tmp_path, command):
+    # a run given by flags into a/, then replayed from a/'s archive into
+    # b/, writes the same files with the same bytes; the archives differ
+    # only in "out"
+    out, data = trained_run
+    argv = [flag.format(model=out / "peanut", data=data) for flag in REPLAY_FLAGS[command]]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(command, *argv, "--out", str(a)) == 0
+    archive = f"{command}_config.json"
+    assert run(command, "--config", str(a / archive), "--out", str(b)) == 0
+    names = sorted(path.name for path in a.iterdir())
+    assert archive in names and names == sorted(path.name for path in b.iterdir())
+    for name in names:
+        if name != archive:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    archived = [read_json_object(d / archive) for d in (a, b)]
+    assert [cfg.pop("out") for cfg in archived] == [str(a), str(b)]
+    assert archived[0] == archived[1] and archived[0]["command"] == command
+
+
 # ------------------------------------------------------------------- train
 
 
@@ -133,7 +175,7 @@ def test_train_bundle(trained_run, capsys):
                  "peanut_reconstruction_max.csv"):
         assert (out / name).exists(), name
     archived = json.loads((out / "train_config.json").read_text())
-    assert archived["train_overrides"]["learning_rate"] == 1e-3
+    assert archived["lr"] == 1e-3
 
 
 def test_train_preset_implies_suite(tmp_path, capsys):
@@ -343,7 +385,7 @@ def test_classifier_meta_classes_must_match_its_outputs_exit_code(tmp_path, clas
     assert "classifier.scaler.json: classes" in capsys.readouterr().err
 
 
-def test_nonfinite_answer_from_finite_inputs_exit_code(trained_run, tmp_path, capsys):
+def test_nonfinite_answer_from_finite_inputs_exit_code(trained_run, tmp_path):
     # every weight at 3e38 overflows float32 in the first layer: a
     # numeric failure, exit 3, not NaN metrics and exit 0
     out, data = trained_run
@@ -351,10 +393,14 @@ def test_nonfinite_answer_from_finite_inputs_exit_code(trained_run, tmp_path, ca
     model = pipeline.TrainedModel.load(out, "peanut")
     model.params.vector[:] = 3e38
     save_model(tmp_path / "peanut.model", model.spec, model.params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = run("evaluate", "--model", str(tmp_path / "peanut"), "--data", str(data))
-    assert rc == 3
-    assert "non-finite output from finite inputs" in capsys.readouterr().err
+    # run as a process, so numpy's overflow warnings would reach its stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "circscatter.cli", "evaluate",
+         "--model", str(tmp_path / "peanut"), "--data", str(data)],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "non-finite output from finite inputs" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_nonfinite_model_parameter_exit_code(trained_run, tmp_path, capsys):
@@ -442,11 +488,14 @@ def test_evaluate_takes_no_seed(trained_run, capsys):
     assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
-def test_sweep_bad_levels(trained_run, capsys):
+def test_sweep_bad_levels(trained_run, tmp_path):
+    # a level that is not a finite number >= 0 exits 2 and writes nothing
     out, data = trained_run
-    rc = run("sweep", "--model", str(out / "peanut"), "--data", str(data),
-             "--noise-levels", "a,b")
-    assert rc == 2
+    for levels in ("a,b", "nan", "0.01,inf", "-0.1"):
+        rc = run("sweep", "--model", str(out / "peanut"), "--data", str(data),
+                 "--noise-levels", levels, "--out", str(tmp_path))
+        assert rc == 2, levels
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reconstruct_command(trained_run, tmp_path):
@@ -487,6 +536,30 @@ def test_gradcheck_fail_exit_code(monkeypatch, capsys):
     rc = run("gradcheck", "--tolerance", "1e-18")
     assert rc == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_nonfinite_tolerance_exit_code(tmp_path, capsys):
+    assert run("gradcheck", "--tolerance", "nan", "--out", str(tmp_path)) == 2
+    assert "tolerance must be finite and > 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gradcheck_nan_gradient_report(monkeypatch, tmp_path, capsys):
+    # a NaN gradient fails the check (exit 3) and its error is archived as
+    # null, so the report stays strict JSON
+    backward = training.network_backward
+
+    def nan_backward(*args, **kwargs):
+        grads = backward(*args, **kwargs)
+        grads.vector[:] = np.nan
+        return grads
+
+    monkeypatch.setattr(training, "network_backward", nan_backward)
+    assert run("gradcheck", "--out", str(tmp_path)) == 3
+    assert capsys.readouterr().out.count("FAIL") == 2
+    report = read_json_object(tmp_path / "gradcheck_report.json")
+    assert report["regression"] == {"max_rel_error": None, "passed": False,
+                                    "tolerance": 1e-4}
 
 
 # ------------------------------------------------------------ entry point

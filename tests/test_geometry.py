@@ -164,7 +164,7 @@ def uncached_radial_profile(shape, tau):
         rho = np.sqrt(np.maximum(rho_sq, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             drho = np.where(rho > 0.0, (beta - alpha) * s * c / np.where(rho > 0, rho, 1.0), 0.0)
-        return rho, drho, rho_sq
+        return rho, drho
     coeffs = shape.coeffs
     acc = np.ones_like(tau)
     dacc = np.zeros_like(tau)
@@ -172,7 +172,7 @@ def uncached_radial_profile(shape, tau):
         aq, bq = coeffs[q], coeffs[5 + q]
         acc = acc + (aq * np.cos(q * tau) + bq * np.sin(q * tau)) / 10.0
         dacc = dacc + q * (-aq * np.sin(q * tau) + bq * np.cos(q * tau)) / 10.0
-    return coeffs[0] * acc, coeffs[0] * dacc, coeffs[0] * acc
+    return coeffs[0] * acc, coeffs[0] * dacc
 
 
 def test_cached_harmonics_match_inline_trig_bitwise():
@@ -324,9 +324,8 @@ def reference_validate_shape(shape, config):
     tau = boundary_grid(config.t_boundary)
     min_radial = None
     if shape.class_tag in (ShapeClass.PEANUT, ShapeClass.STAR):
-        _, _, signed = geometry._radial_profile(shape, tau)
-        min_radial = float(np.min(signed)) if shape.class_tag == ShapeClass.STAR else float(
-            np.min(np.sqrt(np.maximum(signed, 0.0))))
+        rho, _ = geometry._radial_profile(shape, tau)
+        min_radial = float(np.min(rho))
         if min_radial <= geometry.MIN_RADIAL:
             return geometry.ShapeDiagnostics(
                 False, "radial profile too small", min_radial, math.nan, False)
