@@ -170,6 +170,12 @@ def _check_fields(task, t0, c0, classes, shape_ids, fixed_impedance) -> None:
                               f"got {classes!r}")
     if not (isinstance(shape_ids, list) and all(isinstance(s, str) for s in shape_ids)):
         raise ValidationError("shape ids must be a list of strings")
+    check_fixed_impedance(fixed_impedance)
+
+
+def check_fixed_impedance(fixed_impedance) -> None:
+    """A fixed impedance is None or a number in IMPEDANCE_RANGE: the rule
+    for a dataset's header and a regressor's scaler meta alike."""
     lo, hi = IMPEDANCE_RANGE
     number = isinstance(fixed_impedance, (int, float)) and not isinstance(fixed_impedance, bool)
     if not (fixed_impedance is None or number and lo <= fixed_impedance <= hi):
@@ -366,10 +372,15 @@ class Standardizer:
         return cls(mean, std)
 
 
-def add_noise(rows: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray:
-    """rows + level * standard normal draws, applied to standardized features."""
+def check_noise_level(level: float) -> None:
+    """A noise level is finite and >= 0 (a chained comparison refuses NaN)."""
     if not 0.0 <= level < math.inf:
         raise ValidationError(f"noise level must be finite and >= 0, got {level!r}")
+
+
+def add_noise(rows: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray:
+    """rows + level * standard normal draws, applied to standardized features."""
+    check_noise_level(level)
     return rows + level * rng.standard_normal(rows.shape)
 
 

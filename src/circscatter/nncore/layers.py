@@ -95,13 +95,14 @@ def _use_fft(nb: int, k: int, stride: int, spectrum_paid: bool = False) -> bool:
         160   83.6/166  -> 25.4/33.6  170/324   -> 25.6/36.5
 
     The forward crossover is near B=11 for K=15 and B=5 for K=31:
-    B*K >= 160.  Train mode, whose weights change every step, stays on
-    that rule.  An eval-mode network_forward reads the spectrum from its
-    Parameters' memo (``spectrum_paid``), built once per parameter
-    version, and then the FFT forward wins at every batch.  Forward ms,
-    im2col -> FFT with the spectrum paid, same layer and VM (the im2col
-    GEMM against circular_conv_forward with a dict as its memo, median of
-    20 calls):
+    B*K >= 160.  Every pass over writable parameters (train passes,
+    validation passes, gradcheck) stays on that rule.  An eval-mode
+    network_forward over frozen Parameters (every TrainedModel's) reads
+    the spectrum from their memo (``spectrum_paid``), built once, since
+    frozen weights never change, and then the FFT forward wins at every
+    batch.  Forward ms, im2col -> FFT with the spectrum paid, same layer
+    and VM (the im2col GEMM against circular_conv_forward with a dict as
+    its memo, median of 20 calls):
 
         B     K=15           K=31
         1     0.41 -> 0.23   0.84 -> 0.23
@@ -123,8 +124,8 @@ def circular_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: i
     x: (B, T, C); w: (N_f, K, C); b: (N_f,).  Returns ((B, T_out, N_f), cache).
     The algorithm (im2col or FFT, see _use_fft) is chosen here, and the
     cache tells circular_conv_backward which one ran.  ``memo``, when
-    given, is a dict that lives as long as w stays unchanged (this layer's
-    Parameters.memos entry); the FFT path then takes its filter spectrum
+    given, is a dict kept for a read-only w (this layer's entry in a
+    frozen Parameters' memos); the FFT path then takes its filter spectrum
     from it, computing it on the first call.
     """
     nb, t, c = x.shape

@@ -47,8 +47,9 @@ class LayerSpec:
       init_parameters draws them, fans being (fan_in, fan_out) for Glorot
       weights and None for biases and LayerNorm terms;
     - ``forward(group, h, rng, train, memo=None)`` -> (output, cache);
-      ``memo`` is None in train mode and, in eval mode, this layer's
-      Parameters.memos dict, for values computed from its parameters alone;
+      ``memo`` is this layer's Parameters.memos entry in eval mode, a dict
+      for values computed from its parameters alone when the set is
+      frozen, and None in train mode or over writable parameters;
     - ``backward(group, d, cache, need_dx)`` -> (input gradient, parameter
       grads); when ``need_dx`` is false the input gradient is not wanted,
       and a kind may skip its work and return None in its place.
@@ -338,14 +339,13 @@ class Parameters:
     ``version`` increments on every optimizer step so that stale
     forward caches can be rejected by the backward pass.
 
-    ``memos[i]`` is layer i's memo, a dict of values that eval-mode passes
-    compute from that layer's parameters alone: the conjugated filter
-    spectrum of each stride-1, K >= 15 conv (layers.filter_spectrum),
-    keyed by input length and dtype.  A train-mode pass and setting
-    ``version`` empty them, so a training step holds no spectra; ``copy``,
-    ``zeros_like`` and load_model start with empty ones.  Code that writes
-    through the views outside an optimizer step must bump ``version`` too,
-    or an eval pass reads the spectra of the old values.
+    A set is writable until ``freeze`` makes it read-only.
+    ``memos[i]`` is layer i's memo: None while the set is writable, and
+    once frozen a dict of values that eval-mode passes compute from that
+    layer's parameters alone: the conjugated filter spectrum of each
+    stride-1, K >= 15 conv (layers.filter_spectrum), keyed by input length
+    and dtype.  Since a frozen set cannot change, its memo is never stale;
+    ``copy``, ``zeros_like`` and load_model return writable sets.
     """
 
     def __init__(self, layout: list[dict], vector: np.ndarray):
@@ -360,21 +360,18 @@ class Parameters:
                 group[name] = vector[start:start + size].reshape(shapes[name])
                 start += size
             self.layers.append(group)
-        self.memos = [{} for _ in layout]
-        self._version = 0
+        self.memos = [None] * len(layout)
+        self.version = 0
 
-    @property
-    def version(self) -> int:
-        return self._version
-
-    @version.setter
-    def version(self, value: int) -> None:
-        self.clear_memos()
-        self._version = value
-
-    def clear_memos(self) -> None:
-        for memo in self.memos:
-            memo.clear()
+    def freeze(self) -> "Parameters":
+        """Make ``vector`` and every view read-only, in place, and give
+        each layer an empty memo; a later write raises ValueError.
+        Idempotent; returns self."""
+        self.vector.flags.writeable = False
+        for _, _, view in self.arrays():
+            view.flags.writeable = False
+        self.memos = [{} if memo is None else memo for memo in self.memos]
+        return self
 
     def arrays(self):
         """Deterministic iteration: layer order, then sorted key order."""
@@ -447,9 +444,8 @@ def network_forward(spec: NetworkSpec, params: Parameters, x: np.ndarray,
 
     Returns the output matrix in eval mode, or (output, cache) in train
     mode; the cache feeds network_backward.  An eval pass drops each
-    layer's cache as soon as the layer has run, and its long-kernel convs
-    read their filter spectra from the params' memo; a train pass drops
-    the memo.
+    layer's cache as soon as the layer has run, and over frozen params its
+    long-kernel convs read their filter spectra from the params' memo.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -462,9 +458,6 @@ def network_forward(spec: NetworkSpec, params: Parameters, x: np.ndarray,
         for layer, group, memo in zip(spec.layers, params.layers, params.memos):
             h = layer.forward(group, h, rng, False, memo)[0]
         return h
-    # the step this pass feeds changes the parameters: a memo built by an
-    # eval pass before it (a validation pass) would only add to its peak
-    params.clear_memos()
     caches = []
     for layer, group in zip(spec.layers, params.layers):
         h, cache = layer.forward(group, h, rng, True)

@@ -26,6 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
+    N_COEFFS,
     BoundaryShape,
     ScatterConfig,
     ShapeClass,
@@ -203,6 +204,11 @@ class TrainedModel:
     class_tag: int | None = None          # regressors only
     fixed_impedance: float | None = None  # regressor trained at fixed lambda
 
+    def __post_init__(self):
+        # a model's answers read its long-kernel filter spectra from the
+        # parameter memo, which only a set that cannot change keeps
+        self.params.freeze()
+
     @property
     def t0(self) -> int:
         return self.spec.input_t
@@ -308,6 +314,7 @@ class TrainedModel:
             target_scaler = (Standardizer.from_json_dict(blob["targets"])
                              if blob["targets"] is not None else None)
             classes = tuple(meta["classes"]) if meta["classes"] is not None else None
+            dataio.check_fixed_impedance(meta["fixed_impedance"])
             model = cls(spec, params, feature_scaler, target_scaler,
                         preset=meta["preset"], seed=meta["seed"], classes=classes,
                         class_tag=meta["class_tag"],
@@ -323,7 +330,8 @@ class TrainedModel:
                 raise FormatError(f"{name}.scaler.json: {kind} scaler has "
                                   f"{len(scaler.mean)} entries, the model needs {want}")
         # the meta must say what the spec's task needs: a classifier's
-        # label for each output, a regressor's shape class
+        # label for each output, a regressor's shape class, and a fixed
+        # impedance exactly when its outputs omit the impedance
         if spec.task == "class":
             if not (classes is not None and all(map(_is_shape_class, classes))
                     and len(set(classes)) == len(classes) == spec.output_dim):
@@ -332,6 +340,11 @@ class TrainedModel:
         elif not _is_shape_class(model.class_tag):
             raise FormatError(f"{name}.scaler.json: class tag {model.class_tag!r} of a "
                               "regressor is not a shape class tag")
+        elif ((model.fixed_impedance is None)
+              == (spec.output_dim == N_COEFFS[model.class_tag] + 2)):
+            raise FormatError(f"{name}.scaler.json: class tag {model.class_tag!r} with fixed "
+                              f"impedance {model.fixed_impedance!r} does not fit a regressor "
+                              f"with {spec.output_dim} outputs")
         return model
 
 
@@ -679,6 +692,8 @@ def run_experiment(suite: str, out_dir=None, scale: float = 1.0, seed: int = 0,
     s = suite_spec(suite)
     spec = preset_spec(s.preset)
     cfg = preset_train_config(s.preset, seed=seed, **(train_overrides or {}))
+    levels = [0.0] + [float(v) for v in noise_levels]
+    _check_sweep(levels, noise_trials)
     if data is None:
         ds = suite_dataset(suite, scale, seed)
     elif isinstance(data, Dataset):
@@ -704,7 +719,6 @@ def run_experiment(suite: str, out_dir=None, scale: float = 1.0, seed: int = 0,
         fixed_impedance=ds.fixed_impedance)
 
     test = ds.subset(split.test)
-    levels = [0.0] + [float(v) for v in noise_levels]
     clean = evaluate_model(model, test)
     noise = sweep_model(model, test, levels, noise_trials, seed)
 
@@ -767,19 +781,28 @@ def evaluate_model(model: TrainedModel, ds: Dataset):
     return _score(model, model.feature_scaler.apply(ds.features), ds.targets)
 
 
+def _check_sweep(levels, trials: int) -> None:
+    """A noise sweep's arguments: every level finite and >= 0 (add_noise's
+    rule), and at least one trial."""
+    for level in levels:
+        dataio.check_noise_level(level)
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+
+
 def sweep_model(model: TrainedModel, ds: Dataset, levels=DEFAULT_NOISE_LEVELS,
                 trials: int = 5, seed: int = 0) -> list:
     """Noise sweep of a trained model over a whole dataset: metrics under
     additive noise on the standardized features at each level, averaged
     over ``trials`` draws.  Level 0 reproduces ``evaluate_model``.
     Returns one dict per level."""
+    levels = [float(v) for v in levels]
+    _check_sweep(levels, trials)
     model.check_fits(ds)
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
     x = model.feature_scaler.apply(ds.features)
     rng = np.random.default_rng(seed)
     results = []
-    for level in (float(v) for v in levels):
+    for level in levels:
         reps = [_score(model, dataio.add_noise(x, level, rng), ds.targets)
                 for _ in range(trials)]
         if ds.task == "class":

@@ -207,6 +207,19 @@ def test_train_refuses_nonfinite_hyperparameter(tmp_path, flag, value, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [("--noise-levels", "0.01,nan"), ("--trials", "0")],
+                         ids=["nan-level", "no-trials"])
+def test_train_refuses_sweep_arguments_before_training(tmp_path, flags, capsys):
+    # the test-set sweep's arguments are checked before any data is made
+    # or any epoch runs: exit 2, no epoch printed, nothing written
+    out = tmp_path / "out"
+    rc = run("train", "--suite", "peanut", "--scale", "0.01", "--epochs", "3", "--verbose",
+             *flags, "--out", str(out))
+    assert rc == 2
+    assert "epoch" not in capsys.readouterr().out
+    assert not out.exists()
+
+
 def test_train_config_number_overflowing_a_double_exit_code(tmp_path, capsys):
     # json reads 1e999 as inf; the config reader refuses it: exit 4, before
     # anything trains on it
@@ -366,6 +379,42 @@ def test_regressor_meta_without_a_shape_class_exit_code(trained_run, tmp_path, c
     assert "peanut.scaler.json: class tag" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def star_model(tmp_path_factory):
+    """An untrained ap7 star regressor at fixed impedance 2.0, saved with
+    scalers fitted on a tiny star_fixed dataset, and that dataset."""
+    out = tmp_path_factory.mktemp("star")
+    assert run("generate", "--suite", "star_fixed", "--scale", "0.0001",
+               "--out", str(out)) == 0
+    data = out / "star_fixed.csc"
+    ds = dataio.read_dataset(data)
+    spec = preset_spec("ap7")
+    pipeline.TrainedModel(spec, init_parameters(spec, 0), dataio.Standardizer.fit(ds.features),
+                          dataio.Standardizer.fit(ds.targets), preset="ap7", seed=0,
+                          class_tag=3, fixed_impedance=2.0).save(out, "star")
+    assert run("evaluate", "--model", str(out / "star"), "--data", str(data)) == 0
+    return out, data
+
+
+@pytest.mark.parametrize("fixed", [None, "abc", -5.0, [1]],
+                         ids=["null", "text", "out-of-range", "list"])
+def test_regressor_meta_fixed_impedance_exit_code(star_model, tmp_path, fixed, capsys):
+    # a regressor whose outputs omit the impedance needs a fixed impedance
+    # in IMPEDANCE_RANGE: exit 4, not exit 0 with a wrong obstacle, exit 2
+    # or a traceback
+    out, data = star_model
+    shutil.copy(out / "star.model", tmp_path / "star.model")
+    blob = json.loads((out / "star.scaler.json").read_text())
+    blob["meta"]["fixed_impedance"] = fixed
+    (tmp_path / "star.scaler.json").write_text(json.dumps(blob))
+    for extra in ((), ("--out", str(tmp_path / "curves"))):
+        command = "reconstruct" if extra else "evaluate"
+        rc = run(command, "--model", str(tmp_path / "star"), "--data", str(data), *extra)
+        assert rc == 4, command
+        assert "star.scaler.json" in capsys.readouterr().err
+    assert not (tmp_path / "curves").exists()
+
+
 @pytest.mark.parametrize("classes", [None, [1, 2], [1, 2, 3, 3], [1, 2, 9], [1, 1, 3]],
                          ids=["null", "too-few", "too-many", "not-a-class", "repeated"])
 def test_classifier_meta_classes_must_match_its_outputs_exit_code(tmp_path, classes, capsys):
@@ -391,8 +440,9 @@ def test_nonfinite_answer_from_finite_inputs_exit_code(trained_run, tmp_path):
     out, data = trained_run
     shutil.copy(out / "peanut.scaler.json", tmp_path / "peanut.scaler.json")
     model = pipeline.TrainedModel.load(out, "peanut")
-    model.params.vector[:] = 3e38
-    save_model(tmp_path / "peanut.model", model.spec, model.params)
+    params = model.params.copy()   # a model's own parameters are read-only
+    params.vector[:] = 3e38
+    save_model(tmp_path / "peanut.model", model.spec, params)
     # run as a process, so numpy's overflow warnings would reach its stderr
     proc = subprocess.run(
         [sys.executable, "-m", "circscatter.cli", "evaluate",

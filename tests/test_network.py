@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from circscatter import errors, training
+from circscatter.dataio import Standardizer
 from circscatter.nncore import (
     Attention,
     Bottleneck,
@@ -25,6 +26,7 @@ from circscatter.nncore import (
     preset_spec,
     save_model,
 )
+from circscatter.pipeline import TrainedModel
 
 
 def tiny_spec(task="reg", out=3):
@@ -329,7 +331,7 @@ def test_eval_memo_is_bitwise_the_per_call_fft_path(preset):
     # at batch 16 both long-kernel convs take FFT per call too (B*K >= 160);
     # the memoized spectra give the same bits, built once and then read
     spec = preset_spec(preset)
-    params = init_parameters(spec, seed=1)
+    params = init_parameters(spec, seed=1).freeze()
     x = preset_input(spec, 16)
     want = forward_keeping_caches(spec, params, x)
     for _ in range(2):
@@ -342,7 +344,7 @@ def test_one_row_eval_takes_fft_and_agrees(preset, monkeypatch):
     # one row runs its K=15 and K=31 convs on FFT with the memoized
     # spectra; within float32 rounding of im2col and of the batched answer
     spec = preset_spec(preset)
-    params = init_parameters(spec, seed=2)
+    params = init_parameters(spec, seed=2).freeze()
     x = preset_input(spec, 8, seed=3)
     batched = network_forward(spec, params, x)
     ffts = []
@@ -358,45 +360,55 @@ def test_one_row_eval_takes_fft_and_agrees(preset, monkeypatch):
     assert ffts == [1, 1] * 3
 
 
-def test_train_pass_and_optimizer_step_drop_the_memo():
-    spec = preset_spec("ap7")
-    params = init_parameters(spec, seed=4)
-    x = preset_input(spec, 1, seed=5)
-    network_forward(spec, params, x)
-    assert memoized_layers(params) == [2, 3]
-    network_forward(spec, params, x, mode="train", rng=np.random.default_rng(0))
-    assert not memoized_layers(params)
-    before = network_forward(spec, params, x)
-    assert memoized_layers(params) == [2, 3]
-    grads = params.zeros_like()
-    grads.vector[:] = np.random.default_rng(6).standard_normal(grads.num_params)
-    training.adam_step(params, grads, training.init_adam(params), 1e-3)
-    assert not memoized_layers(params)
-    after = network_forward(spec, params, x)
-    assert after.tobytes() != before.tobytes()
-    assert after.tobytes() == network_forward(spec, params.copy(), x).tobytes()
-
-
-def test_copies_and_loaded_models_start_without_a_memo(tmp_path):
-    # and a forward, which fills the memo, leaves the .model bytes alone
+def test_trained_model_parameters_are_read_only(tmp_path):
+    # a writable set keeps no spectrum, whatever pass runs over it
     spec = preset_spec("ap7")
     params = init_parameters(spec, seed=7)
+    x = preset_input(spec, 1)
+    network_forward(spec, params, x)
+    network_forward(spec, params, x, mode="train", rng=np.random.default_rng(0))
+    assert params.memos == [None] * len(spec.layers)
     path = tmp_path / "net.model"
     save_model(path, spec, params)
     saved = path.read_bytes()
-    network_forward(spec, params, preset_input(spec, 1))
-    assert memoized_layers(params) == [2, 3]
+    # a TrainedModel freezes its set in place; an eval pass then fills the
+    # memo, and every write raises, so no memo can go stale
+    scaler = Standardizer(np.zeros(spec.input_t * spec.input_c),
+                          np.ones(spec.input_t * spec.input_c))
+    model = TrainedModel(spec, params, scaler, None, preset="ap7", seed=0, class_tag=3,
+                         fixed_impedance=2.0)
+    assert model.params is params
+    before = network_forward(spec, params, x)
+    assert memoized_layers(params) == [2, 3]   # the K=15 and K=31 convs
+    grads = params.zeros_like()
+    grads.vector[:] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        params.layers[2]["w"][...] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        params.vector *= 2
+    with pytest.raises(ValueError, match="read-only"):
+        training.adam_step(params, grads, training.init_adam(params), 1e-3)
+    assert params.freeze() is params and memoized_layers(params) == [2, 3]
+    assert network_forward(spec, params, x).tobytes() == before.tobytes()
+    # copies and loaded sets start writable, without memos; the frozen
+    # set saves to the same bytes
     for fresh in (params.copy(), params.zeros_like(), load_model(path)[1]):
-        assert not memoized_layers(fresh)
+        assert all(a.flags.writeable for a in [fresh.vector] + [v for *_, v in fresh.arrays()])
+        assert fresh.memos == [None] * len(spec.layers)
     save_model(path, spec, params)
     assert path.read_bytes() == saved
+    # and a model read back is frozen too, with the built model's answers
+    model.save(tmp_path, "star")
+    loaded = TrainedModel.load(tmp_path, "star")
+    assert not loaded.params.vector.flags.writeable
+    assert loaded.answers(x).tobytes() == model.answers(x).tobytes()
 
 
 def test_eval_pass_keeps_no_caches():
     # each layer's cache goes once the layer has run: the same output
     # bytes as a pass that keeps them all, at a lower traced peak
     spec = preset_spec("ap7")
-    params = init_parameters(spec, seed=8)
+    params = init_parameters(spec, seed=8).freeze()
     x = preset_input(spec, 256, seed=9)
     network_forward(spec, params, x[:1])   # the memo is paid outside the peaks
     peaks, outs = [], []

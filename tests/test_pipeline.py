@@ -215,8 +215,10 @@ def test_predict_helpers():
 
 def test_trained_model_save_load_roundtrip(tmp_path):
     reg = make_regressor(1, peanut_mean(), seed=7)
-    reg.params.layers[-1]["w"][:] = np.random.default_rng(1).standard_normal(
-        reg.params.layers[-1]["w"].shape).astype(np.float32)
+    params = reg.params.copy()   # a model's own parameters are read-only
+    params.layers[-1]["w"][:] = np.random.default_rng(1).standard_normal(
+        params.layers[-1]["w"].shape).astype(np.float32)
+    reg = dataclasses.replace(reg, params=params)
     reg.save(tmp_path, "peanut")
     assert (tmp_path / "peanut.model").exists()
     assert (tmp_path / "peanut.scaler.json").exists()
