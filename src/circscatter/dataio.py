@@ -17,8 +17,10 @@ folded into the weights, and n_k.x_hat_j = cos(t_j)*n_x,k + sin(t_j)*n_y,k
 splits the normal term into two weighted columns.  T0 is even, so
 x_hat_{j+T0/2} = -x_hat_j: the cosine and sine of kappa0*x_hat_j.x_k on
 the first half of the grid give exp(-i*...) there and exp(+i*...) on the
-second half.  Each call is one real (T0 x T) @ (T x 6) product of those
-tables with the real and imaginary parts of the three columns.
+second half.  That (T0 x T) table depends on the boundary nodes (and T0
+and kappa0) only, not on the incidence, so it is built once per boundary
+and shared by every incidence; each call is one real (T0 x T) @ (T x 6)
+product of it with the real and imaginary parts of the three columns.
 
 Features are the real/imaginary parts of these patterns stacked
 channel-major: features[c*T0 + i] = X[i, c].
@@ -67,9 +69,27 @@ def _observation_directions(t0: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=1)
+def _phase_table(pts_bytes: bytes, t0: int, kappa0: float) -> np.ndarray:
+    """Read-only (t0, T) table: cos, then sin, of kappa0*x_hat_j.x_k on the
+    first half of the observation grid.  Keyed by the exact bytes of the
+    (T, 2) float64 boundary nodes, so a hit holds the bits a fresh build
+    would; one entry serves every incidence of the boundary in hand."""
+    pts = np.frombuffer(pts_bytes).reshape(-1, 2)
+    half = t0 // 2
+    phase = kappa0 * (_observation_directions(t0)[:, :half].T @ pts.T)   # (T0/2, T)
+    trig = np.empty((t0, len(pts)))
+    np.cos(phase, out=trig[:half])
+    np.sin(phase, out=trig[half:])
+    trig.setflags(write=False)
+    return trig
+
+
 def surrogate_farfield(shape: BoundaryShape, config: ScatterConfig, phi: float):
     """Quadrature surrogate far-field pair (e, h) on the T0 angle grid.
 
+    Only the incidence factor and the sums depend on ``phi``; the phase
+    table comes from ``_phase_table``, built once per boundary.
     Returns two complex ndarrays of shape (config.t0,).
     """
     if float(phi) not in config.phis:
@@ -87,16 +107,13 @@ def surrogate_farfield(shape: BoundaryShape, config: ScatterConfig, phi: float):
 
     xhat = _observation_directions(config.t0)                 # (2, T0)
     half = config.t0 // 2
-    phase = config.kappa0 * (xhat[:, :half].T @ pts.T)         # (T0/2, T)
-    trig = np.empty((config.t0, len(tau)))
-    np.cos(phase, out=trig[:half])
-    np.sin(phase, out=trig[half:])
+    trig = _phase_table(pts.tobytes(), config.t0, config.kappa0)
     # one real GEMM over the interleaved (re, im) parts of the columns
     sums = (trig @ cols.view(np.float64)).view(np.complex128)  # (T0, 3)
     c_sum, s_sum = sums[:half], sums[half:]
     # sum_k exp(-i*phase) * cols on the first half of the grid, and
     # exp(+i*phase) on the second, where x_hat is negated
-    g =np.concatenate([c_sum - 1j * s_sum, c_sum + 1j * s_sum])
+    g = np.concatenate([c_sum - 1j * s_sum, c_sum + 1j * s_sum])
     lam = shape.impedance
     e = (math.sin(config.theta) / math.sqrt(config.eps0)) / (1.0 + lam) * g[:, 0]
     h = (lam / (1.0 + lam)) * (xhat[0] * g[:, 1] + xhat[1] * g[:, 2])

@@ -366,8 +366,11 @@ class Parameters:
     def freeze(self) -> "Parameters":
         """Make ``vector`` and every view read-only, in place, and give
         each layer an empty memo; a later write raises ValueError.
+        ``vector`` becomes a read-only view of the read-only owner, so
+        numpy refuses to make it (or a layer view) writable again.
         Idempotent; returns self."""
         self.vector.flags.writeable = False
+        self.vector = self.vector.view()
         for _, _, view in self.arrays():
             view.flags.writeable = False
         self.memos = [{} if memo is None else memo for memo in self.memos]

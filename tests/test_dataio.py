@@ -128,6 +128,98 @@ def test_observation_directions_table_is_cached_and_read_only():
     npt.assert_allclose(table, np.stack([np.cos(t), np.sin(t)]), rtol=0, atol=1e-15)
 
 
+def fresh_farfield(shape, cfg, phi):
+    """The surrogate with its phase table built anew."""
+    dataio._phase_table.cache_clear()
+    return surrogate_farfield(shape, cfg, phi)
+
+
+def assert_same_bits(got, want):
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_phase_table_is_cached_and_read_only():
+    cfg = pipeline.superset_config()
+    pts, _ = eval_curve(circle(0.3), boundary_grid(cfg.t_boundary))
+    dataio._phase_table.cache_clear()
+    table = dataio._phase_table(pts.tobytes(), cfg.t0, cfg.kappa0)
+    assert table.shape == (cfg.t0, cfg.t_boundary)
+    assert table is dataio._phase_table(pts.tobytes(), cfg.t0, cfg.kappa0)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 2.0
+    half = cfg.t0 // 2
+    phase = cfg.kappa0 * np.outer(np.cos(boundary_grid(cfg.t0)[:half]), pts[:, 0])
+    phase += cfg.kappa0 * np.outer(np.sin(boundary_grid(cfg.t0)[:half]), pts[:, 1])
+    npt.assert_allclose(table, np.concatenate([np.cos(phase), np.sin(phase)]),
+                        rtol=0, atol=1e-14)
+
+
+def test_both_incidences_share_one_phase_table_bitwise():
+    cfg = pipeline.superset_config()
+    shape = sample_shape(ShapeClass.KITE, np.random.default_rng(5), cfg)
+    dataio._phase_table.cache_clear()
+    first = surrogate_farfield(shape, cfg, 0.0)
+    second = surrogate_farfield(shape, cfg, math.pi)
+    assert dataio._phase_table.cache_info().hits == 1
+    assert_same_bits(first, fresh_farfield(shape, cfg, 0.0))
+    assert_same_bits(second, fresh_farfield(shape, cfg, math.pi))
+
+
+def test_phase_table_tells_boundaries_one_ulp_apart():
+    cfg = pipeline.superset_config()
+    a = sample_shape(ShapeClass.STAR, np.random.default_rng(6), cfg)
+    coeffs = a.coeffs.copy()
+    coeffs[0] = np.nextafter(coeffs[0], np.inf)
+    b = dataclasses.replace(a, coeffs=coeffs)
+    tau = boundary_grid(cfg.t_boundary)
+    assert eval_curve(a, tau)[0].tobytes() != eval_curve(b, tau)[0].tobytes()
+    want_b = fresh_farfield(b, cfg, 0.0)
+    fresh_farfield(a, cfg, 0.0)
+    assert_same_bits(surrogate_farfield(b, cfg, 0.0), want_b)
+    assert_same_bits(surrogate_farfield(a, cfg, 0.0), fresh_farfield(a, cfg, 0.0))
+
+
+def test_phase_table_keys_on_grid_and_wavenumber():
+    # one boundary under each T0 and under another kappa0, back to back
+    shape = sample_shape(ShapeClass.PEANUT, np.random.default_rng(8), ScatterConfig())
+    cfgs = [ScatterConfig(t0=32), ScatterConfig(t0=128), ScatterConfig(t0=128, omega=7.0)]
+    wants = [fresh_farfield(shape, cfg, 0.0) for cfg in cfgs]
+    surrogate_farfield(shape, cfgs[-1], 0.0)
+    for cfg, want in zip(cfgs + cfgs[::-1], wants + wants[::-1]):
+        assert_same_bits(surrogate_farfield(shape, cfg, 0.0), want)
+
+
+def test_superset_rows_equal_rows_built_from_a_cold_table():
+    ds = pipeline.generate_superset((1, 2, 3), 30, 4)
+    for i in range(len(ds.targets)):
+        dataio._phase_table.cache_clear()
+        row = pipeline.superset_features(pipeline.regenerate_shape(ds, i))
+        assert np.array_equal(row, ds.features[i])
+
+
+def test_generation_calls_the_surrogate_once_per_row_and_incidence(monkeypatch):
+    # perfbench replaces and wraps dataio.surrogate_farfield, called as
+    # (shape, config, phi) for every row and incidence
+    calls = []
+    real = dataio.surrogate_farfield
+
+    def counting(shape, config, phi):
+        calls.append((shape, config, phi))
+        return real(shape, config, phi)
+
+    monkeypatch.setattr(dataio, "surrogate_farfield", counting)
+    pipeline.generate_superset((1, 2, 3), 6, 2)
+    assert len(calls) == 12
+    spec = pipeline.suite_spec("classification")
+    generate_dataset(spec.class_tags, 6, spec.config(), 2)
+    assert len(calls) == 18
+    for shape, config, phi in calls:
+        assert isinstance(shape, BoundaryShape) and isinstance(config, ScatterConfig)
+        assert phi in config.phis
+    assert [c.c0 for _, c, _ in calls] == [8] * 12 + [2] * 6
+
+
 def test_surrogate_translation_leaves_magnitude():
     cfg = ScatterConfig()
     a = circle(0.25, center=(0.0, 0.0))

@@ -404,6 +404,23 @@ def test_trained_model_parameters_are_read_only(tmp_path):
     assert loaded.answers(x).tobytes() == model.answers(x).tobytes()
 
 
+def test_frozen_parameters_cannot_be_made_writable_again(tmp_path):
+    spec = preset_spec("ap2")
+    params = init_parameters(spec, seed=0)
+    save_model(tmp_path / "before.model", spec, params)
+    params.freeze()
+    for array in [params.vector] + [v for *_, v in params.arrays()]:
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+    with pytest.raises(ValueError, match="read-only"):
+        params.vector *= 2
+    assert params.freeze() is params and not params.vector.flags.writeable
+    save_model(tmp_path / "after.model", spec, params)
+    assert (tmp_path / "after.model").read_bytes() == (tmp_path / "before.model").read_bytes()
+    for fresh in (params.copy(), params.zeros_like()):
+        assert all(a.flags.writeable for a in [fresh.vector] + [v for *_, v in fresh.arrays()])
+
+
 def test_eval_pass_keeps_no_caches():
     # each layer's cache goes once the layer has run: the same output
     # bytes as a pass that keeps them all, at a lower traced peak
