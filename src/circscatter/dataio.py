@@ -22,6 +22,19 @@ and kappa0) only, not on the incidence, so it is built once per boundary
 and shared by every incidence; each call is one real (T0 x T) @ (T x 6)
 product of it with the real and imaginary parts of the three columns.
 
+Generation evaluates each boundary once per row.  ``geometry.eval_curve``
+keeps the last boundary's nodes in a one-entry memo keyed by the exact
+bytes of its class tag, coefficients, center and tau grid, and
+``validate_shape`` fills it for the candidate ``sample_shape`` accepts, so
+every ``surrogate_farfield(shape, config, phi)`` call of the row reads
+those nodes.  The three columns without the incidence factor
+(``_normal_columns``, keyed by the derivatives' bytes) and the phase table
+(``_phase_table``, keyed by the nodes' bytes) are one-entry memos too:
+the second incidence of a row rebuilds neither.  Every memo hands out
+read-only arrays and holds the bits a fresh build gives, so no feature
+depends on what was evaluated before it.  Rows are not batched: each is
+still one call per incidence.
+
 Features are the real/imaginary parts of these patterns stacked
 channel-major: features[c*T0 + i] = X[i, c].
 """
@@ -85,25 +98,42 @@ def _phase_table(pts_bytes: bytes, t0: int, kappa0: float) -> np.ndarray:
     return trig
 
 
+@functools.lru_cache(maxsize=1)
+def _normal_columns(deriv_bytes: bytes) -> np.ndarray:
+    """Read-only (T, 3) columns |x'|, x'_y, -x'_x: the weight and the
+    |x'|-weighted outward normal of a counter-clockwise parametrization,
+    before the quadrature step and the incidence factor.  Keyed by the
+    exact bytes of the (T, 2) float64 derivatives, so a hit holds the bits
+    a fresh build would; one entry serves every incidence of the boundary
+    in hand."""
+    deriv = np.frombuffer(deriv_bytes).reshape(-1, 2)
+    speed = np.hypot(deriv[:, 0], deriv[:, 1])
+    if np.any(speed <= 0.0):
+        raise ValidationError("boundary parametrization has a stationary point")
+    cols = np.stack([speed, deriv[:, 1], -deriv[:, 0]], axis=1)
+    cols.setflags(write=False)
+    return cols
+
+
 def surrogate_farfield(shape: BoundaryShape, config: ScatterConfig, phi: float):
     """Quadrature surrogate far-field pair (e, h) on the T0 angle grid.
 
-    Only the incidence factor and the sums depend on ``phi``; the phase
-    table comes from ``_phase_table``, built once per boundary.
+    Only the incidence factor and the sums depend on ``phi``.  The
+    boundary nodes come from ``eval_curve``'s memo, the weighted normal
+    columns from ``_normal_columns`` and the phase table from
+    ``_phase_table``: each is built once per boundary, so the second
+    incidence of a row pays for neither.
     Returns two complex ndarrays of shape (config.t0,).
     """
     if float(phi) not in config.phis:
         raise ValidationError(f"phi={phi} not in config.phis={config.phis}")
     tau = boundary_grid(config.t_boundary)
     pts, deriv = eval_curve(shape, tau)
-    speed = np.hypot(deriv[:, 0], deriv[:, 1])
-    if np.any(speed <= 0.0):
-        raise ValidationError("boundary parametrization has a stationary point")
-    # weighted columns w, w*n_x, w*n_y (outward normal of a counter-clockwise
-    # parametrization) times the incidence factor exp(i*kappa0*d.x)
+    normal = _normal_columns(deriv.tobytes())
+    # the columns times the incidence factor exp(i*kappa0*d.x)
     d = np.array([math.cos(phi), math.sin(phi)])
     incident = np.exp(1j * config.kappa0 * (pts @ d)) * (2.0 * np.pi / config.t_boundary)
-    cols = incident[:, None] * np.stack([speed, deriv[:, 1], -deriv[:, 0]], axis=1)
+    cols = incident[:, None] * normal
 
     xhat = _observation_directions(config.t0)                 # (2, T0)
     half = config.t0 // 2
@@ -137,7 +167,7 @@ def assemble_channels(fields: dict, config: ScatterConfig) -> np.ndarray:
                 raise LayoutError(f"field array for phi={phi} has shape {arr.shape}, "
                                   f"want ({config.t0},)")
             parts += [arr.real, arr.imag]
-    return np.concatenate(parts).astype(np.float64)
+    return np.concatenate(parts).astype(np.float64, copy=False)
 
 
 def feature_row(shape: BoundaryShape, config: ScatterConfig) -> np.ndarray:

@@ -192,40 +192,86 @@ def _harmonics(tau: np.ndarray) -> np.ndarray:
     return _harmonic_table(np.asarray(tau, dtype=np.float64).tobytes())
 
 
-def _radial_profile(shape: BoundaryShape, tau: np.ndarray):
+def _radial_profile(tag: ShapeClass, coeffs: np.ndarray, tau: np.ndarray):
     """rho(tau) and rho'(tau) for the radial families.  A peanut's rho is
     sqrt(max(rho**2, 0)), so it is 0 exactly where rho**2 <= 0 (and NaN
     where rho**2 is): ``rho <= 0`` flags a degenerate profile of either
     family."""
-    tag = shape.class_tag
     if tag == ShapeClass.PEANUT:
-        alpha, beta = shape.coeffs
+        alpha, beta = coeffs
         c, s = _harmonics(tau)[:, 0]
         rho_sq = alpha * c * c + beta * s * s
         rho = np.sqrt(np.maximum(rho_sq, 0.0))
+        positive = rho > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            drho = np.where(rho > 0.0, (beta - alpha) * s * c / np.where(rho > 0, rho, 1.0), 0.0)
+            drho = np.where(positive, (beta - alpha) * s * c / np.where(positive, rho, 1.0), 0.0)
         return rho, drho
     if tag == ShapeClass.STAR:
-        coeffs = shape.coeffs
-        alpha0 = coeffs[0]
         cos_q, sin_q = _harmonics(tau)
-        acc = np.ones_like(tau)
-        dacc = np.zeros_like(tau)
-        for q in range(1, STAR_Q + 1):
-            aq = coeffs[q]
-            bq = coeffs[STAR_Q + q]
-            cq, sq = cos_q[q - 1], sin_q[q - 1]
-            acc = acc + (aq * cq + bq * sq) / (2.0 * STAR_Q)
-            dacc = dacc + q * (-aq * sq + bq * cq) / (2.0 * STAR_Q)
-        rho = alpha0 * acc
-        drho = alpha0 * dacc
-        return rho, drho
-    raise ValidationError(f"{tag.name.lower()} has no radial profile")
+        a, b = coeffs[1:STAR_Q + 1, None], coeffs[STAR_Q + 1:, None]
+        q = np.arange(1.0, STAR_Q + 1)[:, None]
+        # every harmonic's term at once, then each sum accumulated in q
+        # order: elementwise the operations of one harmonic at a time
+        terms = (a * cos_q + b * sin_q) / (2.0 * STAR_Q)
+        dterms = q * (-a * sin_q + b * cos_q) / (2.0 * STAR_Q)
+        acc, dacc = 1.0 + terms[0], 0.0 + dterms[0]
+        for term, dterm in zip(terms[1:], dterms[1:]):
+            acc += term
+            dacc += dterm
+        return coeffs[0] * acc, coeffs[0] * dacc
+    raise ValidationError(f"{ShapeClass(tag).name.lower()} has no radial profile")
+
+
+@functools.lru_cache(maxsize=1)
+def _node_table(tag: int, coeffs_bytes: bytes, center_bytes: bytes, tau_bytes: bytes):
+    """Read-only (rho, points, deriv) of a boundary, rho None for kites.
+
+    Keyed by the exact bytes of the float64 coefficients, center and tau,
+    so a hit holds the bits a fresh evaluation gives.  The one entry is
+    the boundary last evaluated: the candidate ``sample_shape`` accepted
+    is the one both incidences of its row evaluate next.
+    """
+    coeffs, center = np.frombuffer(coeffs_bytes), np.frombuffer(center_bytes)
+    if tag == ShapeClass.KITE:
+        alpha, beta, gamma = coeffs
+        (c, c2), (s, s2) = _harmonic_table(tau_bytes)[:, :2]
+        x = alpha * c + beta * c2 + center[0]
+        y = gamma * s + center[1]
+        dx = -alpha * s - 2.0 * beta * s2
+        dy = gamma * c
+        rho, points, deriv = None, np.stack([x, y], axis=1), np.stack([dx, dy], axis=1)
+    else:
+        rho, drho = _radial_profile(tag, coeffs, np.frombuffer(tau_bytes))
+        rho.setflags(write=False)
+        # x = rho*(cos, sin) + center and x' = drho*(cos, sin) + rho*(-sin, cos),
+        # written through (2, m) views of the (m, 2) results (long inner loops)
+        cs = _harmonic_table(tau_bytes)[:, 0]
+        rho_cs = rho * cs
+        points, deriv = np.empty((len(rho), 2)), np.empty((len(rho), 2))
+        np.add(rho_cs, center[:, None], out=points.T)
+        np.multiply(drho, cs, out=deriv.T)
+        deriv[:, 0] -= rho_cs[1]
+        deriv[:, 1] += rho_cs[0]
+    points.setflags(write=False)
+    deriv.setflags(write=False)
+    return rho, points, deriv
+
+
+def _nodes(shape: BoundaryShape, tau: np.ndarray):
+    """``_node_table`` of ``shape`` on the float64 grid ``tau``."""
+    return _node_table(int(shape.class_tag),
+                       np.asarray(shape.coeffs, dtype=np.float64).tobytes(),
+                       np.asarray(shape.center, dtype=np.float64).tobytes(), tau.tobytes())
 
 
 def eval_curve(shape: BoundaryShape, tau, allow_degenerate: bool = False):
     """Evaluate boundary points and tangent derivatives.
+
+    The nodes come from a one-entry memo keyed by the exact bytes of the
+    class tag, coefficients, center and ``tau``, which ``validate_shape``
+    fills too: a generated row evaluates its boundary once, however many
+    incidences it has.  A hit returns the very arrays of the first call,
+    so they are read-only; copy them to write.
 
     Parameters
     ----------
@@ -240,33 +286,18 @@ def eval_curve(shape: BoundaryShape, tau, allow_degenerate: bool = False):
 
     Returns
     -------
-    points, deriv : ndarray of shape (m, 2)
+    points, deriv : read-only ndarray of shape (m, 2)
         x(tau) and x'(tau).
     """
     tau = np.asarray(tau, dtype=np.float64)
     if tau.ndim != 1:
         raise ValidationError("tau must be one-dimensional")
-    tag = shape.class_tag
-    if tag == ShapeClass.KITE:
-        alpha, beta, gamma = shape.coeffs
-        (c, c2), (s, s2) = _harmonics(tau)[:, :2]
-        x = alpha * c + beta * c2 + shape.center[0]
-        y = gamma * s + shape.center[1]
-        dx = -alpha * s - 2.0 * beta * s2
-        dy = gamma * c
-        return np.stack([x, y], axis=1), np.stack([dx, dy], axis=1)
-
-    rho, drho = _radial_profile(shape, tau)
-    if not allow_degenerate and np.any(rho <= 0.0):
+    rho, points, deriv = _nodes(shape, tau)
+    if not allow_degenerate and rho is not None and np.any(rho <= 0.0):
         raise DegenerateShapeError(
-            f"{tag.name.lower()} radial profile non-positive at some tau"
+            f"{shape.class_tag.name.lower()} radial profile non-positive at some tau"
         )
-    c, s = _harmonics(tau)[:, 0]
-    x = rho * c + shape.center[0]
-    y = rho * s + shape.center[1]
-    dx = drho * c - rho * s
-    dy = drho * s + rho * c
-    return np.stack([x, y], axis=1), np.stack([dx, dy], axis=1)
+    return points, deriv
 
 
 def polygon_is_simple(points: np.ndarray) -> bool:
@@ -333,23 +364,25 @@ def validate_shape(shape: BoundaryShape, config: ScatterConfig) -> ShapeDiagnost
     than pi, misses ``center``.  Sectors of non-adjacent edges meet only
     at ``center``, so no two non-adjacent edges meet: the polygon is
     star-shaped about ``center``, hence simple.
+
+    The nodes come from ``eval_curve``'s memo: radial families read rho
+    and the nodes from it directly, kites through ``eval_curve``.  Either
+    way the candidate ``sample_shape`` accepts leaves its nodes there, and
+    the surrogate calls of its row read them instead of evaluating the
+    boundary again: one evaluation per generated row.
     """
     tau = boundary_grid(config.t_boundary)
     min_radial = None
     if shape.class_tag in (ShapeClass.PEANUT, ShapeClass.STAR):
-        rho, _ = _radial_profile(shape, tau)
-        min_radial = float(np.min(rho))
+        rho, points, _ = _nodes(shape, tau)
+        min_radial = float(rho.min())
         # this test and the norm test below are written negated, so a NaN
         # fails them
         if not min_radial > MIN_RADIAL:
             return ShapeDiagnostics(False, "radial profile too small", min_radial, math.nan, False)
-        # the nodes eval_curve would build from the same profile
-        c, s = _harmonics(tau)[:, 0]
-        x, y = rho * c + shape.center[0], rho * s + shape.center[1]
     else:
         points, _ = eval_curve(shape, tau, allow_degenerate=True)
-        x, y = points[:, 0], points[:, 1]
-    max_norm = float(np.max(np.hypot(x, y)))
+    max_norm = float(np.hypot(points[:, 0], points[:, 1]).max())
     if not max_norm < MAX_POINT_NORM:
         return ShapeDiagnostics(False, "boundary too close to outer circle", min_radial, max_norm, True)
     if min_radial is None and not polygon_is_simple(points):

@@ -500,8 +500,8 @@ def l2_penalty(spec: NetworkSpec, params: Parameters) -> float:
     total = 0.0
     for layer, group in zip(spec.layers, params.layers):
         if isinstance(layer, Dense) and layer.l2 > 0.0:
-            w = group["w"].astype(np.float64, copy=False)
-            total += layer.l2 * float(np.sum(w * w))
+            # the ufunc casts to float64 chunk by chunk: one temporary, the squares
+            total += layer.l2 * float(np.sum(np.square(group["w"], dtype=np.float64)))
     return total
 
 

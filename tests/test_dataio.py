@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 from scipy.special import j0, j1
 
-from circscatter import dataio, errors, pipeline
+from circscatter import dataio, errors, geometry, pipeline
 from circscatter.dataio import (
     Dataset,
     Standardizer,
@@ -128,9 +128,16 @@ def test_observation_directions_table_is_cached_and_read_only():
     npt.assert_allclose(table, np.stack([np.cos(t), np.sin(t)]), rtol=0, atol=1e-15)
 
 
-def fresh_farfield(shape, cfg, phi):
-    """The surrogate with its phase table built anew."""
+def clear_generation_memos():
+    """Empty every per-boundary memo generation reads."""
+    geometry._node_table.cache_clear()
+    dataio._normal_columns.cache_clear()
     dataio._phase_table.cache_clear()
+
+
+def fresh_farfield(shape, cfg, phi):
+    """The surrogate with its nodes, columns and phase table built anew."""
+    clear_generation_memos()
     return surrogate_farfield(shape, cfg, phi)
 
 
@@ -190,12 +197,57 @@ def test_phase_table_keys_on_grid_and_wavenumber():
         assert_same_bits(surrogate_farfield(shape, cfg, 0.0), want)
 
 
+def cold_row(shape, cfg):
+    """A feature row with every incidence built from empty memos."""
+    fields = {}
+    for phi in cfg.phis:
+        clear_generation_memos()
+        fields[phi] = surrogate_farfield(shape, cfg, phi)
+    return assemble_channels(fields, cfg)
+
+
 def test_superset_rows_equal_rows_built_from_a_cold_table():
+    # unlike a pinned digest, this does not depend on the platform's np.cos
     ds = pipeline.generate_superset((1, 2, 3), 30, 4)
     for i in range(len(ds.targets)):
-        dataio._phase_table.cache_clear()
-        row = pipeline.superset_features(pipeline.regenerate_shape(ds, i))
-        assert np.array_equal(row, ds.features[i])
+        clear_generation_memos()
+        shape = pipeline.regenerate_shape(ds, i)
+        assert np.array_equal(cold_row(shape, pipeline.superset_config()), ds.features[i])
+        clear_generation_memos()
+        assert np.array_equal(pipeline.superset_features(shape), ds.features[i])
+
+
+@pytest.mark.parametrize("suite", ["classification", "star_variable"])
+def test_suite_rows_equal_rows_built_from_cold_memos(suite):
+    spec = pipeline.suite_spec(suite)
+    ds = pipeline.suite_dataset(suite, scale=30 / spec.n_full, seed=6)
+    assert len(ds) == 30
+    for i in range(len(ds)):
+        clear_generation_memos()
+        shape = pipeline.regenerate_shape(ds, i)
+        assert np.array_equal(cold_row(shape, spec.config()), ds.features[i])
+
+
+def test_generation_evaluates_each_boundary_once_per_row(monkeypatch):
+    # every candidate is evaluated once, in validate_shape; both incidences
+    # of the accepted one read its nodes, columns and phase table from the memos
+    drawn = []
+    real = geometry.draw_shape_candidate
+
+    def counting(*args, **kwargs):
+        drawn.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "draw_shape_candidate", counting)
+    for n, cfg in ((12, pipeline.superset_config()), (9, pipeline.suite_spec("classification").config())):
+        drawn.clear()
+        clear_generation_memos()
+        generate_dataset((1, 2, 3), n, cfg, 3)
+        nodes = geometry._node_table.cache_info()
+        assert (nodes.misses, nodes.hits) == (len(drawn), n * len(cfg.phis))
+        for memo in (dataio._normal_columns, dataio._phase_table):
+            info = memo.cache_info()
+            assert (info.misses, info.hits) == (n, n * (len(cfg.phis) - 1))
 
 
 def test_generation_calls_the_surrogate_once_per_row_and_incidence(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -182,7 +183,7 @@ def test_cached_harmonics_match_inline_trig_bitwise():
     kites = [draw_shape_candidate(ShapeClass.KITE, rng) for _ in range(10)]
     for tau in (boundary_grid(128), boundary_grid(128) + 1e-3, boundary_grid(127)):
         for shape in shapes:
-            for got, want in zip(geometry._radial_profile(shape, tau),
+            for got, want in zip(geometry._radial_profile(shape.class_tag, shape.coeffs, tau),
                                  uncached_radial_profile(shape, tau)):
                 assert np.array_equal(got, want, equal_nan=True)
         for shape in kites:
@@ -208,6 +209,112 @@ def test_harmonic_table_is_cached_and_read_only():
 def test_eval_curve_rejects_bad_tau():
     with pytest.raises(errors.ValidationError):
         eval_curve(peanut(), np.zeros((2, 2)))
+
+
+def cold_curve(shape, tau, allow_degenerate=False):
+    """eval_curve with its node memo emptied first."""
+    geometry._node_table.cache_clear()
+    return eval_curve(shape, tau, allow_degenerate)
+
+
+def curve_bits(curve):
+    return [a.tobytes() for a in curve]
+
+
+def memo_shapes():
+    rng = np.random.default_rng(41)
+    return [peanut(0.15, 0.04, center=(0.1, -0.05)), kite(0.2, 0.08, 0.3, center=(0.1, 0.05)),
+            star(rng, base=0.3, scale=0.4, center=(-0.1, 0.0))]
+
+
+def test_node_memo_gives_cold_bits_back_to_back():
+    # A, B, A and every other order of the three families, on two grids
+    tau = boundary_grid(128)
+    shapes = memo_shapes()
+    cold = [curve_bits(cold_curve(shape, tau)) for shape in shapes]
+    for i, j in itertools.product(range(3), repeat=2):
+        for k in (i, j, i, i):
+            assert curve_bits(eval_curve(shapes[k], tau)) == cold[k]
+    other = boundary_grid(127)
+    want = curve_bits(cold_curve(shapes[0], other))
+    eval_curve(shapes[0], tau)
+    assert curve_bits(eval_curve(shapes[0], other)) == want
+
+
+def test_node_memo_sees_shapes_changed_in_place():
+    # each change shows at once; the oracle is a separate copy of the shape
+    tau = boundary_grid(64)
+
+    def changed_curve(shape, before):
+        copy = dataclasses.replace(shape, coeffs=shape.coeffs.copy(), center=shape.center.copy())
+        got = curve_bits(eval_curve(shape, tau))
+        assert got != before and got == curve_bits(cold_curve(copy, tau))
+        return got
+
+    for shape in memo_shapes():
+        bits = curve_bits(eval_curve(shape, tau))
+        shape.coeffs[0] *= 1.25
+        bits = changed_curve(shape, bits)
+        shape.center[1] += 0.01
+        bits = changed_curve(shape, bits)
+        shape.center = np.array([0.0, 0.0])
+        changed_curve(shape, bits)
+
+
+def test_node_memo_tells_shapes_one_ulp_apart():
+    tau = boundary_grid(128)
+    for a in memo_shapes():
+        for field in ("coeffs", "center"):
+            values = getattr(a, field).copy()
+            values[-1] = np.nextafter(values[-1], np.inf)
+            b = dataclasses.replace(a, **{field: values})
+            want_a, want_b = curve_bits(cold_curve(a, tau)), curve_bits(cold_curve(b, tau))
+            assert want_a != want_b
+            eval_curve(a, tau)
+            assert curve_bits(eval_curve(b, tau)) == want_b
+            assert curve_bits(eval_curve(a, tau)) == want_a
+
+
+def test_degenerate_curve_raises_after_a_permissive_call_cached_it():
+    coeffs = np.zeros(11)
+    coeffs[0], coeffs[1] = 0.2, -15.0
+    bad_star = BoundaryShape(ShapeClass.STAR, coeffs, [0.0, 0.0], 1.0, check_ranges=False)
+    tau = boundary_grid(16)
+    geometry._node_table.cache_clear()
+    points, _ = eval_curve(bad_star, tau, allow_degenerate=True)
+    assert geometry._node_table.cache_info().currsize == 1
+    with pytest.raises(errors.DegenerateShapeError):
+        eval_curve(bad_star, tau)
+    assert geometry._node_table.cache_info().hits == 1
+    assert eval_curve(bad_star, tau, allow_degenerate=True)[0] is points
+
+
+def test_eval_curve_returns_read_only_arrays():
+    # a hit hands out the arrays of the first call, so no caller may write
+    tau = boundary_grid(32)
+    for shape in memo_shapes():
+        points, deriv = cold_curve(shape, tau)
+        for arr in (points, deriv):
+            assert not arr.flags.writeable and arr.flags.c_contiguous
+            assert arr.shape == (32, 2) and arr.dtype == np.float64
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        again = eval_curve(shape, tau, allow_degenerate=True)
+        assert again[0] is points and again[1] is deriv
+
+
+def test_validate_shape_fills_the_memo_eval_curve_reads():
+    # a radial candidate's validation evaluates its nodes once; a kite's
+    # goes through eval_curve itself
+    cfg = ScatterConfig()
+    tau = boundary_grid(cfg.t_boundary)
+    for shape in memo_shapes():
+        geometry._node_table.cache_clear()
+        assert validate_shape(shape, cfg).ok
+        curve = eval_curve(shape, tau)
+        info = geometry._node_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert curve_bits(curve) == curve_bits(cold_curve(shape, tau))
 
 
 # ---------------------------------------------------------------- shape type
@@ -324,7 +431,7 @@ def reference_validate_shape(shape, config):
     tau = boundary_grid(config.t_boundary)
     min_radial = None
     if shape.class_tag in (ShapeClass.PEANUT, ShapeClass.STAR):
-        rho, _ = geometry._radial_profile(shape, tau)
+        rho, _ = geometry._radial_profile(shape.class_tag, shape.coeffs, tau)
         min_radial = float(np.min(rho))
         if min_radial <= geometry.MIN_RADIAL:
             return geometry.ShapeDiagnostics(
