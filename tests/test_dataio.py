@@ -424,6 +424,33 @@ def test_generated_targets_and_ids_are_pinned(name):
     assert generation_digest(ds, cfg, 2024) == digest
 
 
+@pytest.mark.parametrize("name", ["kite", "classification", "superset"])
+@pytest.mark.parametrize("seed", [5, 2024])
+def test_kite_closed_form_leaves_generation_unchanged(monkeypatch, name, seed):
+    # validate_shape decides generated kites (even T = 128) in closed form;
+    # sending every kite through the crossing test instead gives the same
+    # bytes
+    def generate():
+        if name == "superset":
+            return pipeline.generate_superset((1, 2, 3), 18, seed)
+        suite = pipeline.SUITES[name]
+        return pipeline.suite_dataset(name, scale=30 / suite.n_full, seed=seed)
+
+    crossing_tests = []
+    real = geometry.polygon_is_simple
+    monkeypatch.setattr(geometry, "polygon_is_simple",
+                        lambda points: crossing_tests.append(1) or real(points))
+    fast = generate()
+    assert not crossing_tests
+    monkeypatch.setattr(geometry, "_kite_provably_simple", lambda coeffs, t: False)
+    slow = generate()
+    assert crossing_tests
+    assert fast.features.tobytes() == slow.features.tobytes()
+    assert fast.targets.dtype == slow.targets.dtype
+    assert fast.targets.tobytes() == slow.targets.tobytes()
+    assert fast.shape_ids == slow.shape_ids
+
+
 def test_generate_validates_args():
     cfg = ScatterConfig()
     with pytest.raises(errors.ValidationError):

@@ -8,6 +8,7 @@ import pytest
 
 from circscatter import errors, geometry
 from circscatter.geometry import (
+    CENTER_RANGE,
     BoundaryShape,
     ScatterConfig,
     ShapeClass,
@@ -21,6 +22,12 @@ from circscatter.geometry import (
     targets_to_shape,
     validate_shape,
 )
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # a test extra: without it the property test alone is skipped
+    st = None
 
 
 def circle(radius, center=(0.0, 0.0), impedance=1.0):
@@ -451,7 +458,8 @@ def test_radial_shortcut_matches_full_check(monkeypatch):
     # peanuts and stars that pass the radial floor are star-shaped about
     # their center, so validate_shape skips the crossing test for them.
     # Thin kites cross only on odd grids: at even T each node has a mirror
-    # node at the same height, 2*alpha*cos(tau) away.
+    # node at the same height, 2*alpha*cos(tau) away, so the test runs
+    # there only for kites at or below the floor on |alpha| and |gamma|.
     configs = (ScatterConfig(), ScatterConfig(t_boundary=127))
     rng = np.random.default_rng(77)
     shapes = []
@@ -464,6 +472,13 @@ def test_radial_shortcut_matches_full_check(monkeypatch):
         cand = draw_shape_candidate(ShapeClass.KITE, rng)
         coeffs = cand.coeffs * np.array([10.0 ** rng.uniform(-6.0, -2.0), 1.0, 1.0])
         shapes.append(BoundaryShape(ShapeClass.KITE, coeffs, cand.center, 1.0))
+    # even-T kites with |alpha| or |gamma| just above, at and just below
+    # the floor of the default grid
+    floor = ScatterConfig().t_boundary * geometry.KITE_FLOOR_PER_NODE
+    for scale in (1 + 1e-12, 1.0, 1 - 1e-12):
+        for coeffs in ([floor * scale, 0.1, 0.25], [0.25, 0.1, -floor * scale],
+                       [-floor * scale, 0.1, floor * scale]):
+            shapes.append(BoundaryShape(ShapeClass.KITE, coeffs, [0.05, -0.1], 1.0))
     # min rho just below, at, and just above the floor
     for radius in (geometry.MIN_RADIAL * (1 - 1e-12), geometry.MIN_RADIAL,
                    geometry.MIN_RADIAL * (1 + 1e-12), geometry.MIN_RADIAL * 1.5):
@@ -481,7 +496,10 @@ def test_radial_shortcut_matches_full_check(monkeypatch):
         diag = validate_shape(shape, cfg)
         assert diag == reference_validate_shape(shape, cfg)
         kite = shape.class_tag == ShapeClass.KITE
-        assert len(crossing_tests) == before + (kite and diag.max_norm < geometry.MAX_POINT_NORM)
+        t = cfg.t_boundary
+        assert len(crossing_tests) == before + (
+            kite and diag.max_norm < geometry.MAX_POINT_NORM
+            and (t % 2 == 1 or min(abs(shape.coeffs[[0, 2]])) <= t * geometry.KITE_FLOOR_PER_NODE))
         reasons.add((shape.class_tag, diag.reason))
     for tag in ShapeClass:
         assert (tag, None) in reasons
@@ -489,6 +507,45 @@ def test_radial_shortcut_matches_full_check(monkeypatch):
     assert (ShapeClass.KITE, "boundary self-intersects") in reasons
     assert (ShapeClass.PEANUT, "radial profile too small") in reasons
     assert (ShapeClass.STAR, "radial profile too small") in reasons
+
+
+if st is not None:
+    @st.composite
+    def kites_on_grids(draw):
+        """A kite and the grid it is checked on: even T from 4 to 256, or a
+        few odd T.  Alpha, beta and gamma are signed and log-scaled, from
+        ten decades below the grid's floor on |alpha| and |gamma| up to 0.6;
+        alpha and gamma are drawn at the floor or an ulp either side of it
+        one time in five, below it one time in five, above it otherwise."""
+        odd = draw(st.integers(0, 3)) == 0
+        t = draw(st.sampled_from([5, 7, 9, 33, 127]) if odd else st.integers(2, 128).map(lambda k: 2 * k))
+        floor = t * geometry.KITE_FLOOR_PER_NODE
+        lg_floor = math.log10(floor)
+
+        def signed(side):
+            if side == 0:
+                magnitude = draw(st.sampled_from(
+                    [np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0)]))
+            else:
+                low, high = (lg_floor - 10.0, lg_floor) if side == 1 else (lg_floor, math.log10(0.6))
+                magnitude = 10.0 ** draw(st.floats(low, high))
+            return draw(st.sampled_from([-1.0, 1.0])) * magnitude
+
+        sides = st.integers(0, 4)
+        coeffs = [signed(draw(sides)), signed(draw(st.integers(1, 2))), signed(draw(sides))]
+        center = [draw(st.floats(*CENTER_RANGE)) for _ in range(2)]
+        return (BoundaryShape(ShapeClass.KITE, coeffs, center, 1.0),
+                ScatterConfig(t_boundary=t))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(case=kites_on_grids())
+    def test_kite_verdicts_match_reference(case):
+        shape, cfg = case
+        assert validate_shape(shape, cfg) == reference_validate_shape(shape, cfg)
+else:
+    @pytest.mark.skip(reason="hypothesis is not installed")
+    def test_kite_verdicts_match_reference():
+        pass
 
 
 def test_nan_profile_and_norm_are_rejected(monkeypatch):
