@@ -209,7 +209,7 @@ class Dense(LayerSpec):
         dz = layers.swish_backward(d, sw_cache)
         d, dw, db = layers.dense_backward(dz, dense_cache)
         if self.l2 > 0.0:
-            dw = dw + (2.0 * self.l2) * group["w"]
+            dw += (2.0 * self.l2) * group["w"]
         grads["w"], grads["b"] = dw, db
         return d, grads
 
@@ -434,6 +434,15 @@ def init_parameters(spec: NetworkSpec, seed: int, dtype=np.float32) -> Parameter
 
 
 class NetworkCache:
+    """A train-mode forward's per-layer caches, for exactly one backward.
+
+    ``items[i]`` is layer i's cache and ``params_version`` the parameter
+    version it was computed at.  network_backward spends the cache: it
+    takes ``items`` (leaving None) and releases each layer's entry once
+    that layer's backward has run, so a training step never holds two
+    steps' activations at once.
+    """
+
     __slots__ = ("items", "params_version")
 
     def __init__(self, items, params_version):
@@ -446,9 +455,10 @@ def network_forward(spec: NetworkSpec, params: Parameters, x: np.ndarray,
     """Run the network on a (B, T, C) batch.
 
     Returns the output matrix in eval mode, or (output, cache) in train
-    mode; the cache feeds network_backward.  An eval pass drops each
-    layer's cache as soon as the layer has run, and over frozen params its
-    long-kernel convs read their filter spectra from the params' memo.
+    mode; the cache feeds exactly one network_backward, which spends it.
+    An eval pass drops each layer's cache as soon as the layer has run,
+    and over frozen params its long-kernel convs read their filter
+    spectra from the params' memo.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -472,13 +482,21 @@ def network_backward(spec: NetworkSpec, params: Parameters, cache: NetworkCache,
                      dout: np.ndarray):
     """Gradients of the loss w.r.t. every parameter (L2 terms included),
     as a Parameters of the same layout.  The gradient w.r.t. the network
-    input is not computed: layer 0 is told it is not wanted."""
+    input is not computed: layer 0 is told it is not wanted.
+
+    The pass spends ``cache``: each layer's entry is released as soon as
+    that layer's backward returns, so its activations are freed while the
+    layers below still run, and a second backward on the same cache
+    raises ValidationError."""
     if cache.params_version != params.version:
         raise ValidationError("stale cache: parameters changed since the forward pass")
+    items, cache.items = cache.items, None
+    if items is None:
+        raise ValidationError("spent cache: it has already fed a backward pass")
     grads = params.zeros_like()
     d = dout
     for i in range(len(spec.layers) - 1, -1, -1):
-        d, layer_grads = spec.layers[i].backward(params.layers[i], d, cache.items[i], i > 0)
+        d, layer_grads = spec.layers[i].backward(params.layers[i], d, items.pop(), i > 0)
         for name, g in layer_grads.items():
             grads.layers[i][name][...] = g
     return grads

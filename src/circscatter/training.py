@@ -91,15 +91,12 @@ def clip_gradients(grads: Parameters, clip_norm: float | None) -> float:
     pre-clip global norm.
 
     The norm sums each array's float64 sum of squares in ``arrays()``
-    order, taken over that array's slice of one squared float64 copy of
-    the vector; one sum over the whole vector would round differently
-    and change every clipped run's bytes."""
-    sq = grads.vector.astype(np.float64)
-    sq *= sq
-    total, start = 0.0, 0
+    order, squaring one array at a time (the ufunc casts to float64, so
+    the one temporary is that array's squares); one sum over the whole
+    vector would round differently and change every clipped run's bytes."""
+    total = 0.0
     for _, _, g in grads.arrays():
-        total += float(np.sum(sq[start:start + g.size]))
-        start += g.size
+        total += float(np.sum(np.square(g.reshape(-1), dtype=np.float64)))
     norm = math.sqrt(total)
     if clip_norm is not None:
         if clip_norm <= 0:
@@ -219,6 +216,11 @@ def train(spec: NetworkSpec, features: np.ndarray, targets: np.ndarray,
     pass standardized target rows.  Reported losses include the L2
     penalty (the same quantity the optimizer descends).  The returned
     parameters realize min(history.valid_loss) exactly.
+
+    Each batch is gathered from the full feature tensor by row index
+    (``split.train`` at the shuffled positions), so the train rows are
+    never copied out as a whole.  A step's forward cache is spent by its
+    backward, so a step holds one batch's activations at a time.
     """
     if spec.task == "class":
         if classes is None:
@@ -234,9 +236,8 @@ def train(spec: NetworkSpec, features: np.ndarray, targets: np.ndarray,
     dtype = params.dtype
     x = _as_tensor(spec, features, dtype)
     y = y.astype(dtype)
-    x_train, y_train = x[split.train], y[split.train]
     x_valid, y_valid = x[split.valid], y[split.valid]
-    n_train = len(x_train)
+    n_train = len(split.train)
     if n_train < 1 or len(x_valid) < 1:
         raise ValidationError("empty train or valid split")
 
@@ -258,8 +259,8 @@ def train(spec: NetworkSpec, features: np.ndarray, targets: np.ndarray,
         run_loss = 0.0
         correct = 0
         for bi, start in enumerate(range(0, n_train, config.batch_size)):
-            idx = perm[start:start + config.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
+            rows = split.train[perm[start:start + config.batch_size]]
+            xb, yb = x[rows], y[rows]
             out, cache = network_forward(spec, params, xb, mode="train", rng=rng)
             penalty = l2_penalty(spec, params)
             batch_loss = loss_fn(out, yb) + penalty
@@ -268,7 +269,7 @@ def train(spec: NetworkSpec, features: np.ndarray, targets: np.ndarray,
             grads = network_backward(spec, params, cache, grad_fn(out, yb))
             clip_gradients(grads, config.clip_norm)
             adam_step(params, grads, state, config.learning_rate)
-            run_loss += batch_loss * len(idx)
+            run_loss += batch_loss * len(rows)
             if spec.task == "class":
                 correct += int(np.sum(out.argmax(axis=1) == yb.argmax(axis=1)))
         train_loss = run_loss / n_train

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -289,6 +290,48 @@ def test_backward_rejects_stale_cache():
     params.version += 1  # simulates an optimizer step
     with pytest.raises(errors.ValidationError, match="stale"):
         network_backward(spec, params, cache, np.zeros_like(out))
+
+
+def test_backward_spends_its_cache():
+    # a cache feeds one backward; a second raises, and staleness is
+    # still checked first
+    spec = tiny_spec()
+    params = init_parameters(spec, seed=0)
+    x = np.random.default_rng(1).standard_normal((2, 8, 2)).astype(np.float32)
+    out, cache = network_forward(spec, params, x, mode="train",
+                                 rng=np.random.default_rng(0))
+    network_backward(spec, params, cache, np.ones_like(out))
+    assert cache.items is None
+    with pytest.raises(errors.ValidationError, match="spent"):
+        network_backward(spec, params, cache, np.ones_like(out))
+    params.version += 1
+    with pytest.raises(errors.ValidationError, match="stale"):
+        network_backward(spec, params, cache, np.ones_like(out))
+
+
+def test_backward_frees_each_layer_cache_once_used(monkeypatch):
+    # the Output layer's input activations are gone before layer 0's
+    # backward runs
+    spec = tiny_spec()
+    params = init_parameters(spec, seed=2)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((4, 8, 2)).astype(np.float32)
+    out, cache = network_forward(spec, params, x, mode="train", rng=np.random.default_rng(5))
+    top = cache.items[-1][0][0]    # the Output layer's cached (B, d) input
+    assert top.base is None
+    top_ref = weakref.ref(top)
+    del top
+    seen = []
+    conv_backward = Conv.backward
+
+    def spying_backward(self, group, d, layer_cache, need_dx):
+        if not need_dx:           # layer 0
+            seen.append(top_ref() is None)
+        return conv_backward(self, group, d, layer_cache, need_dx)
+
+    monkeypatch.setattr(Conv, "backward", spying_backward)
+    network_backward(spec, params, cache, np.ones_like(out))
+    assert seen == [True]
 
 
 def test_forward_features_pre_flatten():

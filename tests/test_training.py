@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -119,10 +120,10 @@ def test_clip_gradients_global_norm():
 
 
 def test_clip_norm_matches_per_array_reference():
-    # one squared float64 copy of the vector, summed array by array in
-    # arrays() order, gives the bits of each array's own sum of squares
+    # each array squared in float64 and summed, in arrays() order, gives
+    # the bits of each array's own float64 copy's sum of squares
     rng = np.random.default_rng(9)
-    for name in ("ap2", "ap10"):
+    for name in ("ap1", "ap2", "ap7", "ap10"):
         grads = init_parameters(preset_spec(name), 0).zeros_like()
         grads.vector[:] = rng.standard_normal(grads.num_params).astype(np.float32)
         before = grads.vector.copy()
@@ -265,6 +266,36 @@ def test_train_is_bitwise_deterministic():
         npt.assert_array_equal(x, y)
     assert a_hist.train_loss == b_hist.train_loss
     assert a_hist.valid_loss == b_hist.valid_loss
+
+
+def test_train_holds_one_generation_of_activations():
+    # two ap7 steps at batch 64: the traced peak stays under seven
+    # parameter vectors (the most alive at once: params, best snapshot,
+    # Adam's m and v, grads and Adam's two scratch vectors) plus 1.3
+    # train-mode forward caches; a step that kept its cache until the
+    # next forward had been built would hold two
+    spec = preset_spec("ap7")
+    batch, n_valid = 64, 8
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((2 * batch + n_valid, spec.input_t, spec.input_c))
+    x = x.astype(np.float32)
+    y = rng.standard_normal((len(x), spec.output_dim))
+    cfg = TrainConfig(batch_size=batch, max_epochs=1, seed=0)
+    params = init_parameters(spec, 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out, cache = network_forward(spec, params, x[:batch], mode="train",
+                                     rng=np.random.default_rng(0))
+        cache_bytes = tracemalloc.get_traced_memory()[0] - before
+        del out, cache
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        train(spec, x, y, simple_split(2 * batch, n_valid), cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * params.vector.nbytes + 1.3 * cache_bytes, (peak, cache_bytes)
 
 
 def test_early_stopping_contract():
