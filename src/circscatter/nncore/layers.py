@@ -5,6 +5,21 @@ Each forward returns (output, cache); the matching backward consumes the
 cache and the upstream gradient and returns input and parameter
 gradients.  Everything works in whatever float dtype the inputs carry;
 training uses float32 and gradient verification float64.
+
+A cache holds what its backward reads and nothing more:
+
+- conv: the im2col rows, the input shape, w, stride and K (im2col path),
+  or the input and conjugated filter spectra (FFT path, _FFTCache);
+- swish: its derivative s * (1 + z * (1 - s)) alone, and nothing when
+  ``train`` is false (eval passes compute no derivative);
+- layer norm: xhat, 1/sigma and the gain;
+- dropout: the scaled keep mask (None when inactive);
+- bottleneck: its input, w and the swish derivative;
+- dense: its input and w;
+- attention: the sub-layers' caches, the channel weights and a view of
+  the LayerNorm shift; its normalized tensor is recomputed from xhat.
+
+No backward writes its cache, so a cache may feed more than one backward.
 """
 
 from __future__ import annotations
@@ -268,8 +283,9 @@ def _fft_conv_backward(dy: np.ndarray, cache: _FFTCache, need_dx: bool):
 # The activations below evaluate their textbook expression (in the
 # docstring) operation by operation, in the same operand order, into one
 # fresh buffer: the same bits as the expression, without its temporaries.
-# Their inputs are never written.  The scalars are Python floats, which
-# keep a float32 buffer float32 under numpy 1.x value-based casting too.
+# Their inputs and caches are never written.  The scalars are Python
+# floats, which keep a float32 buffer float32 under numpy 1.x value-based
+# casting too.
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -282,20 +298,25 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.divide(1.0, s, out=s)
 
 
-def swish_forward(z: np.ndarray):
-    """z * sigmoid(z); the cache is (z, sigmoid(z))."""
+def swish_forward(z: np.ndarray, train: bool = True):
+    """z * s with s = sigmoid(z).  The cache is the derivative
+    g = s * (1 + z * (1 - s)), the one array swish_backward reads, laid
+    out like z; with ``train`` false it is None and g is not computed."""
     s = sigmoid(z)
-    return z * s, (z, s)
-
-
-def swish_backward(dy: np.ndarray, cache):
-    """dy * (s * (1 + z * (1 - s))) with (z, s) from the cache."""
-    z, s = cache
+    y = z * s
+    if not train:
+        return y, None
     g = np.subtract(1.0, s)
     np.multiply(z, g, out=g)
     np.add(1.0, g, out=g)
-    np.multiply(s, g, out=g)
-    return np.multiply(dy, g, out=g)
+    return y, np.multiply(s, g, out=g)
+
+
+def swish_backward(dy: np.ndarray, g: np.ndarray):
+    """dy * g with the derivative g from the cache, in a fresh buffer laid
+    out like g (a conv's bias gradient sums in that order), so g itself
+    can feed another backward."""
+    return np.multiply(dy, g, out=np.empty_like(g))
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
@@ -360,12 +381,12 @@ def dropout_backward(dy: np.ndarray, cache):
 # ---------------------------------------------------------------- bottleneck
 
 
-def bottleneck_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+def bottleneck_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, train: bool = True):
     """Pointwise channel-mixing convolution with swish: (B,T,C) @ (C,Nb)."""
     if x.shape[-1] != w.shape[0]:
         raise ValidationError(f"bottleneck expects {w.shape[0]} channels, got {x.shape[-1]}")
     z = x @ w + b
-    y, sw = swish_forward(z)
+    y, sw = swish_forward(z, train)
     return y, (x, w, sw)
 
 
@@ -396,35 +417,41 @@ def dense_backward(dy: np.ndarray, cache):
 # ---------------------------------------------------------------- attention
 
 
-def attention_forward(x: np.ndarray, params: dict):
+def attention_forward(x: np.ndarray, params: dict, train: bool = True):
     """Channel attention: mix-conv + swish, per-position layer norm, global
     average pool, two-layer gate, then rescale the normalized tensor.
 
     params keys: w_mix (C, K_mix, C), b_mix, ln_gain, ln_shift,
     w1 (C/r, C), b1, w2 (C, C/r), b2.  Returns (y, cache); cache["att"]
-    holds the (B, C) channel weights.
+    holds the (B, C) channel weights, cache["shift"] the LayerNorm shift
+    (a view of params), and the other entries the sub-layers' caches.
+    The normalized tensor is not kept: attention_backward recomputes it
+    from the LayerNorm cache.  ``train`` is passed to both swishes.
     """
     t = x.shape[1]
     mixed, conv_cache = circular_conv_forward(x, params["w_mix"], params["b_mix"], stride=1)
-    act, sw_cache = swish_forward(mixed)
+    act, sw_cache = swish_forward(mixed, train)
     norm, ln_cache = layer_norm_forward(act, params["ln_gain"], params["ln_shift"])
     pooled = norm.mean(axis=1)
     z1, d1_cache = dense_forward(pooled, params["w1"], params["b1"])
-    a1, sw1_cache = swish_forward(z1)
+    a1, sw1_cache = swish_forward(z1, train)
     z2, d2_cache = dense_forward(a1, params["w2"], params["b2"])
     att = sigmoid(z2)
     y = norm * att[:, None, :]
     cache = {
-        "t": t, "att": att, "norm": norm, "conv": conv_cache, "sw": sw_cache,
+        "t": t, "att": att, "shift": params["ln_shift"], "conv": conv_cache, "sw": sw_cache,
         "ln": ln_cache, "d1": d1_cache, "sw1": sw1_cache, "d2": d2_cache,
     }
     return y, cache
 
 
 def attention_backward(dy: np.ndarray, cache):
-    """Returns (dx, grads dict with the same keys as params)."""
-    att, norm, t = cache["att"], cache["norm"], cache["t"]
-    datt = (dy * norm).sum(axis=1)
+    """Returns (dx, grads dict with the same keys as params).  The
+    normalized tensor is gain * xhat + shift again, the expression
+    layer_norm_forward evaluated, so it has the forward's bits."""
+    att, t = cache["att"], cache["t"]
+    xhat, _, gain = cache["ln"]
+    datt = (dy * (gain * xhat + cache["shift"])).sum(axis=1)
     dnorm = dy * att[:, None, :]
     dz2 = datt * att * (1.0 - att)
     da1, dw2, db2 = dense_backward(dz2, cache["d2"])

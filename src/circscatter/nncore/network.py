@@ -51,8 +51,10 @@ class LayerSpec:
       for values computed from its parameters alone when the set is
       frozen, and None in train mode or over writable parameters;
     - ``backward(group, d, cache, need_dx)`` -> (input gradient, parameter
-      grads); when ``need_dx`` is false the input gradient is not wanted,
-      and a kind may skip its work and return None in its place.
+      grads), the grads holding an array for every name of ``group``
+      (network_backward does not zero its output); when ``need_dx`` is
+      false the input gradient is not wanted, and a kind may skip its
+      work and return None in its place.
     """
 
     kind: ClassVar[str]
@@ -79,7 +81,7 @@ class Conv(LayerSpec):
     def forward(self, group, h, rng, train, memo=None):
         z, conv_cache = layers.circular_conv_forward(h, group["w"], group["b"], self.stride,
                                                      memo)
-        h, sw_cache = layers.swish_forward(z)
+        h, sw_cache = layers.swish_forward(z, train)
         return h, (conv_cache, sw_cache)
 
     def backward(self, group, d, cache, need_dx):
@@ -113,7 +115,7 @@ class Attention(LayerSpec):
                 "w2": ((c, hidden), (hidden, c)), "b2": ((c,), None)}
 
     def forward(self, group, h, rng, train, memo=None):
-        return layers.attention_forward(h, group)
+        return layers.attention_forward(h, group, train)
 
     def backward(self, group, d, cache, need_dx):
         return layers.attention_backward(d, cache)
@@ -138,7 +140,7 @@ class Bottleneck(LayerSpec):
         return {"w": ((c, nb), (c, nb)), "b": ((nb,), None)}
 
     def forward(self, group, h, rng, train, memo=None):
-        return layers.bottleneck_forward(h, group["w"], group["b"])
+        return layers.bottleneck_forward(h, group["w"], group["b"], train)
 
     def backward(self, group, d, cache, need_dx):
         d, dw, db = layers.bottleneck_backward(d, cache)
@@ -193,7 +195,7 @@ class Dense(LayerSpec):
 
     def forward(self, group, h, rng, train, memo=None):
         z, dense_cache = layers.dense_forward(h, group["w"], group["b"])
-        h, sw_cache = layers.swish_forward(z)
+        h, sw_cache = layers.swish_forward(z, train)
         ln_cache = None
         if self.layernorm:
             h, ln_cache = layers.layer_norm_forward(h, group["ln_gain"], group["ln_shift"])
@@ -479,10 +481,17 @@ def network_forward(spec: NetworkSpec, params: Parameters, x: np.ndarray,
 
 
 def network_backward(spec: NetworkSpec, params: Parameters, cache: NetworkCache,
-                     dout: np.ndarray):
+                     dout: np.ndarray, out: Parameters | None = None):
     """Gradients of the loss w.r.t. every parameter (L2 terms included),
     as a Parameters of the same layout.  The gradient w.r.t. the network
     input is not computed: layer 0 is told it is not wanted.
+
+    The gradients are written into ``out`` when it is given (a writable
+    Parameters of params' layout and dtype, such as the last step's
+    gradients, whose values are overwritten) and returned; otherwise into
+    a fresh, unfilled vector.  Every layer kind assigns every one of its
+    gradient entries, so no entry keeps an old value and no zero fill is
+    needed.
 
     The pass spends ``cache``: each layer's entry is released as soon as
     that layer's backward returns, so its activations are freed while the
@@ -490,10 +499,12 @@ def network_backward(spec: NetworkSpec, params: Parameters, cache: NetworkCache,
     raises ValidationError."""
     if cache.params_version != params.version:
         raise ValidationError("stale cache: parameters changed since the forward pass")
-    items, cache.items = cache.items, None
-    if items is None:
+    if cache.items is None:
         raise ValidationError("spent cache: it has already fed a backward pass")
-    grads = params.zeros_like()
+    if out is not None and (out.layout != params.layout or out.dtype != params.dtype):
+        raise ValidationError("gradient buffer does not match the parameters' layout and dtype")
+    items, cache.items = cache.items, None
+    grads = Parameters(params.layout, np.empty_like(params.vector)) if out is None else out
     d = dout
     for i in range(len(spec.layers) - 1, -1, -1):
         d, layer_grads = spec.layers[i].backward(params.layers[i], d, items.pop(), i > 0)

@@ -30,6 +30,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-7
 PROB_FLOOR = 1e-12
 EVAL_CHUNK = 1024
+ADAM_BLOCK = 1 << 15   # entries per block of adam_step: 128 KB of float32
 
 
 # ---------------------------------------------------------------- losses
@@ -113,24 +114,34 @@ def adam_step(params: Parameters, grads: Parameters, state: AdamState, lr: float
         v = b2 v + (1 - b2) g g
         p -= (lr / (1 - b1^t)) m / (sqrt(v / (1 - b2^t)) + eps)
 
-    each evaluated in that operand order through two scratch vectors."""
+    each evaluated in that operand order.  Every operation is elementwise,
+    so the vectors are walked in blocks of ADAM_BLOCK entries through two
+    block-sized scratch arrays that stay in cache: the same bits as one
+    pass over whole vectors, without two full-size temporaries."""
     state.t += 1
     b1t = 1.0 - ADAM_BETA1 ** state.t
     b2t = 1.0 - ADAM_BETA2 ** state.t
-    g, m, v = grads.vector, state.m, state.v
-    a = np.multiply(1.0 - ADAM_BETA1, g)
-    m *= ADAM_BETA1
-    m += a
-    np.multiply(1.0 - ADAM_BETA2, g, out=a)
-    a *= g
-    v *= ADAM_BETA2
-    v += a
-    np.divide(v, b2t, out=a)
-    np.sqrt(a, out=a)
-    a += ADAM_EPS
-    step = np.multiply(lr / b1t, m)
-    step /= a
-    params.vector -= step
+    p_all, g_all = params.vector, grads.vector
+    size = p_all.size
+    a_buf = np.empty(min(size, ADAM_BLOCK), g_all.dtype)
+    step_buf = np.empty(len(a_buf), state.m.dtype)
+    for lo in range(0, size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, size)
+        g, m, v, p = g_all[lo:hi], state.m[lo:hi], state.v[lo:hi], p_all[lo:hi]
+        a, step = a_buf[:hi - lo], step_buf[:hi - lo]
+        np.multiply(1.0 - ADAM_BETA1, g, out=a)
+        m *= ADAM_BETA1
+        m += a
+        np.multiply(1.0 - ADAM_BETA2, g, out=a)
+        a *= g
+        v *= ADAM_BETA2
+        v += a
+        np.divide(v, b2t, out=a)
+        np.sqrt(a, out=a)
+        a += ADAM_EPS
+        np.multiply(lr / b1t, m, out=step)
+        step /= a
+        p -= step
     params.version += 1
 
 
@@ -220,7 +231,10 @@ def train(spec: NetworkSpec, features: np.ndarray, targets: np.ndarray,
     Each batch is gathered from the full feature tensor by row index
     (``split.train`` at the shuffled positions), so the train rows are
     never copied out as a whole.  A step's forward cache is spent by its
-    backward, so a step holds one batch's activations at a time.
+    backward, so a step holds one batch's activations at a time, and
+    every step writes its gradients into the one vector the first step's
+    backward allocated.  The gradient norm is only computed when
+    ``config.clip_norm`` is set.
     """
     if spec.task == "class":
         if classes is None:
@@ -251,6 +265,7 @@ def train(spec: NetworkSpec, features: np.ndarray, targets: np.ndarray,
 
     best_loss = math.inf
     best_params = params.copy()
+    grads = None   # each step's backward writes into the last step's vector
     pat_best = math.inf
     wait = 0
 
@@ -266,8 +281,9 @@ def train(spec: NetworkSpec, features: np.ndarray, targets: np.ndarray,
             batch_loss = loss_fn(out, yb) + penalty
             if not math.isfinite(batch_loss):
                 raise NumericError("non-finite training loss", epoch=epoch, batch=bi)
-            grads = network_backward(spec, params, cache, grad_fn(out, yb))
-            clip_gradients(grads, config.clip_norm)
+            grads = network_backward(spec, params, cache, grad_fn(out, yb), grads)
+            if config.clip_norm is not None:
+                clip_gradients(grads, config.clip_norm)
             adam_step(params, grads, state, config.learning_rate)
             run_loss += batch_loss * len(rows)
             if spec.task == "class":

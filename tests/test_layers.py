@@ -419,8 +419,9 @@ def test_swish_values_and_gradient():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_activations_match_textbook_expressions_bitwise(dtype):
     # sigmoid, swish and its backward evaluate in place into one fresh
-    # buffer: the same bits and dtype as the textbook expressions, and
-    # neither the inputs nor the swish cache are written
+    # buffer: the same bits and dtype as the textbook expressions.  The
+    # swish cache is the textbook derivative alone, neither the inputs nor
+    # the cache are written, and an eval forward keeps no cache
     rng = np.random.default_rng(12)
     z = (4.0 * rng.standard_normal((3, 7, 5))).astype(dtype)
     z.flat[:5] = [0.0, -1e4, 1e4, -100.0, 100.0]   # exp(-z) overflows at -1e4
@@ -428,16 +429,30 @@ def test_activations_match_textbook_expressions_bitwise(dtype):
     z_before, dy_before = z.copy(), dy.copy()
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-z))
-    y, cache = layers.swish_forward(z)
-    cache_before = [a.copy() for a in cache]
-    dz = layers.swish_backward(dy, cache)
-    for got, want in ((layers.sigmoid(z), s), (y, z * s),
-                      (dz, dy * (s * (1.0 + z * (1.0 - s))))):
+    g_want = s * (1.0 + z * (1.0 - s))
+    y, g = layers.swish_forward(z)
+    g_before = g.copy()
+    dz = layers.swish_backward(dy, g)
+    for got, want in ((layers.sigmoid(z), s), (y, z * s), (g, g_want), (dz, dy * g_want)):
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
-    assert cache[0] is z and cache[1].tobytes() == s.tobytes()
+    assert not np.shares_memory(dz, g)
     assert z.tobytes() == z_before.tobytes() and dy.tobytes() == dy_before.tobytes()
-    assert all(a.tobytes() == c.tobytes() for a, c in zip(cache, cache_before))
+    assert g.tobytes() == g_before.tobytes()
+    y_eval, none = layers.swish_forward(z, train=False)
+    assert none is None and y_eval.tobytes() == y.tobytes()
+
+
+def test_swish_derivative_keeps_the_input_layout():
+    # a transposed z (the FFT conv's output) gives a derivative and an
+    # input gradient laid out like z, which a conv's bias sum reads in
+    # memory order
+    rng = np.random.default_rng(13)
+    z = rng.standard_normal((5, 3, 4)).astype(np.float32).transpose(1, 0, 2)
+    dy = np.ascontiguousarray(rng.standard_normal(z.shape).astype(np.float32))
+    _, g = layers.swish_forward(z)
+    dz = layers.swish_backward(dy, g)
+    assert g.strides == dz.strides == np.empty_like(z).strides != dy.strides
 
 
 def test_swish_float32_extremes_are_finite():

@@ -334,6 +334,38 @@ def test_backward_frees_each_layer_cache_once_used(monkeypatch):
     assert seen == [True]
 
 
+@pytest.mark.parametrize("case", ["reg", "class", "ap10"])
+def test_backward_into_a_reused_buffer_writes_every_entry(case):
+    # network_backward does not zero its output: a buffer full of NaN,
+    # reused for two steps' backwards, holds each time the bytes of a
+    # fresh call, so every entry of every layer kind is assigned
+    spec, batch = (preset_spec("ap10"), 2) if case == "ap10" else (tiny_spec(case), 5)
+    params = init_parameters(spec, seed=4)
+    rng = np.random.default_rng(5)
+    buffer = params.zeros_like()
+    buffer.vector[:] = np.nan
+    for step in range(2):
+        x = rng.standard_normal((batch, spec.input_t, spec.input_c)).astype(np.float32)
+        dout = rng.standard_normal((batch, spec.output_dim)).astype(np.float32)
+
+        def backward(out=None):
+            _, cache = network_forward(spec, params, x, mode="train",
+                                       rng=np.random.default_rng(step))
+            return network_backward(spec, params, cache, dout, out)
+
+        want = backward()
+        got = backward(buffer)
+        assert got is buffer and np.isfinite(got.vector).all()
+        assert got.vector.tobytes() == want.vector.tobytes()
+    # a buffer of another layout or dtype is refused, the cache unspent
+    _, cache = network_forward(spec, params, x, mode="train", rng=np.random.default_rng(0))
+    other = init_parameters(tiny_spec("reg", out=2), seed=0)
+    for bad in (other, init_parameters(spec, seed=0, dtype=np.float64)):
+        with pytest.raises(errors.ValidationError, match="gradient buffer"):
+            network_backward(spec, params, cache, dout, bad)
+    assert cache.items is not None
+
+
 def test_forward_features_pre_flatten():
     spec = tiny_spec()
     params = init_parameters(spec, seed=0)
@@ -350,13 +382,15 @@ def test_forward_features_pre_flatten():
 
 def forward_keeping_caches(spec, params, x, use_memos=False):
     """An eval pass through each layer's forward that keeps every layer's
-    cache; without the params' memos each filter spectrum is computed per
-    call, so a long-kernel conv below the B*K rule runs im2col."""
-    h, caches = x, []
+    input and cache, all that a pass which never drops anything holds;
+    without the params' memos each filter spectrum is computed per call,
+    so a long-kernel conv below the B*K rule runs im2col."""
+    h, kept = x, []
     memos = params.memos if use_memos else [None] * len(spec.layers)
     for layer, group, memo in zip(spec.layers, params.layers, memos):
+        h_in = h
         h, cache = layer.forward(group, h, None, False, memo)
-        caches.append(cache)
+        kept.append((h_in, cache))
     return h
 
 
@@ -465,8 +499,8 @@ def test_frozen_parameters_cannot_be_made_writable_again(tmp_path):
 
 
 def test_eval_pass_keeps_no_caches():
-    # each layer's cache goes once the layer has run: the same output
-    # bytes as a pass that keeps them all, at a lower traced peak
+    # each layer's input and cache go once the layer has run: the same
+    # output bytes as a pass that keeps them all, at a lower traced peak
     spec = preset_spec("ap7")
     params = init_parameters(spec, seed=8).freeze()
     x = preset_input(spec, 256, seed=9)

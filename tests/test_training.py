@@ -13,6 +13,7 @@ from circscatter.nncore import (
     Flatten,
     NetworkSpec,
     Output,
+    Parameters,
     init_parameters,
     layers,
     network_backward,
@@ -170,6 +171,52 @@ def test_adam_multi_step_matches_reference_loop():
         npt.assert_allclose(got, want, rtol=1e-12)
 
 
+def whole_vector_adam(params, grads, state, lr):
+    """adam_step as one pass over whole vectors through two full-size
+    scratch vectors, in the same operand order."""
+    state.t += 1
+    b1t = 1.0 - training.ADAM_BETA1 ** state.t
+    b2t = 1.0 - training.ADAM_BETA2 ** state.t
+    g, m, v = grads.vector, state.m, state.v
+    a = np.multiply(1.0 - training.ADAM_BETA1, g)
+    m *= training.ADAM_BETA1
+    m += a
+    np.multiply(1.0 - training.ADAM_BETA2, g, out=a)
+    a *= g
+    v *= training.ADAM_BETA2
+    v += a
+    np.divide(v, b2t, out=a)
+    np.sqrt(a, out=a)
+    a += training.ADAM_EPS
+    step = np.multiply(lr / b1t, m)
+    step /= a
+    params.vector -= step
+
+
+BLOCK = training.ADAM_BLOCK
+
+
+@pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, "ap10"])
+def test_blocked_adam_is_bitwise_the_whole_vector_update(size):
+    if size == "ap10":
+        params = init_parameters(preset_spec("ap10"), 0)
+    else:
+        rng = np.random.default_rng(size)
+        params = Parameters([{"w": (size,)}], rng.standard_normal(size).astype(np.float32))
+    ref, state, ref_state = params.copy(), init_adam(params), init_adam(params)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        grads = params.zeros_like()
+        grads.vector[:] = rng.standard_normal(params.num_params).astype(np.float32)
+        adam_step(params, grads, state, lr=1e-3)
+        whole_vector_adam(ref, grads, ref_state, lr=1e-3)
+    for got, want in ((params.vector, ref.vector), (state.m, ref_state.m),
+                      (state.v, ref_state.v)):
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+    assert state.t == 3 and params.version == 3
+
+
 def test_clipped_float32_steps_match_per_array_reference():
     # 20 float32 steps with a clip norm that fires on every step give the
     # same bits as Adam and clipping applied array by array
@@ -270,10 +317,10 @@ def test_train_is_bitwise_deterministic():
 
 def test_train_holds_one_generation_of_activations():
     # two ap7 steps at batch 64: the traced peak stays under seven
-    # parameter vectors (the most alive at once: params, best snapshot,
-    # Adam's m and v, grads and Adam's two scratch vectors) plus 1.3
-    # train-mode forward caches; a step that kept its cache until the
-    # next forward had been built would hold two
+    # parameter vectors (at most six are alive at once: params, Adam's m
+    # and v, grads, and the old and new best snapshot while one replaces
+    # the other) plus 1.3 train-mode forward caches; a step that kept its
+    # cache until the next forward had been built would hold two
     spec = preset_spec("ap7")
     batch, n_valid = 64, 8
     rng = np.random.default_rng(11)
@@ -296,6 +343,54 @@ def test_train_holds_one_generation_of_activations():
     finally:
         tracemalloc.stop()
     assert peak < 7 * params.vector.nbytes + 1.3 * cache_bytes, (peak, cache_bytes)
+
+
+def cached_nbytes(obj, params, seen=None):
+    """Bytes of the distinct arrays in a forward cache, read off their
+    shapes and dtypes; views of the parameters are not counted."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        if id(obj) in seen or np.shares_memory(obj, params.vector):
+            return 0
+        seen.add(id(obj))
+        return obj.nbytes
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return sum(cached_nbytes(item, params, seen) for item in obj)
+    return 0
+
+
+def test_ap10_step_holds_its_cache_and_no_full_size_scratch():
+    # one clipped ap10 step at batch 4, as train runs it: the traced peak
+    # stays under 1.25 forward caches plus two of the largest parameter
+    # array (a dense layer's dw and its L2 term, or the clip norm's
+    # float64 squares of that array) plus 1 MiB.  A fresh gradient vector
+    # or Adam's full-size scratch vectors would each add 12.7 MB
+    spec, batch = preset_spec("ap10"), 4
+    params = init_parameters(spec, 0)
+    state = init_adam(params)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((batch, spec.input_t, spec.input_c)).astype(np.float32)
+    y = rng.standard_normal((batch, spec.output_dim)).astype(np.float32)
+    out, cache = network_forward(spec, params, x, mode="train", rng=np.random.default_rng(0))
+    cache_bytes = cached_nbytes(cache.items, params)
+    grads = network_backward(spec, params, cache, mse_grad(out, y))
+    adam_step(params, grads, state, 5e-5)
+    del out, cache
+    largest = max(a.nbytes for *_, a in params.arrays())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out, cache = network_forward(spec, params, x, mode="train", rng=np.random.default_rng(1))
+        grads = network_backward(spec, params, cache, mse_grad(out, y), grads)
+        clip_gradients(grads, 1.0)
+        adam_step(params, grads, state, 5e-5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    bound = 1.25 * cache_bytes + 2 * largest + 2 ** 20
+    assert peak < bound, (peak, cache_bytes, largest)
 
 
 def test_early_stopping_contract():
