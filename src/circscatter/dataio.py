@@ -22,18 +22,18 @@ and kappa0) only, not on the incidence, so it is built once per boundary
 and shared by every incidence; each call is one real (T0 x T) @ (T x 6)
 product of it with the real and imaginary parts of the three columns.
 
-Generation evaluates each boundary once per row.  ``geometry.eval_curve``
+Generation evaluates each boundary once per row.  ``geometry._nodes``
 keeps the last boundary's nodes in a one-entry memo keyed by the exact
-bytes of its class tag, coefficients, center and tau grid, and
-``validate_shape`` fills it for the candidate ``sample_shape`` accepts, so
-every ``surrogate_farfield(shape, config, phi)`` call of the row reads
-those nodes.  The three columns without the incidence factor
-(``_normal_columns``, keyed by the derivatives' bytes) and the phase table
-(``_phase_table``, keyed by the nodes' bytes) are one-entry memos too:
-the second incidence of a row rebuilds neither.  Every memo hands out
-read-only arrays and holds the bits a fresh build gives, so no feature
-depends on what was evaluated before it.  Rows are not batched: each is
-still one call per incidence.
+bytes of its class tag, coefficients, center and tau grid.
+``validate_shape`` fills it for the candidate ``sample_shape`` accepts,
+and every ``surrogate_farfield(shape, config, phi)`` call of the row
+reads those nodes back through ``eval_curve``.  The three columns
+without the incidence factor (``_normal_columns``, keyed by the
+derivatives' bytes) and the phase table (``_phase_table``, keyed by the
+nodes' bytes) are one-entry memos too: the second incidence of a row
+rebuilds neither.  Every memo hands out read-only arrays and holds the
+bits a fresh build gives, so no feature depends on what was evaluated
+before it.  Rows are not batched: each is still one call per incidence.
 
 Features are the real/imaginary parts of these patterns stacked
 channel-major: features[c*T0 + i] = X[i, c].

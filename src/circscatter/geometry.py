@@ -33,8 +33,8 @@ IMPEDANCE_RANGE = (0.1, 10.0)
 MIN_RADIAL = 0.02     # validation floor on rho(tau) for radial families
 MAX_POINT_NORM = 0.75  # boundary must stay strictly inside this radius
 MAX_REJECTIONS = 1000  # consecutive rejected candidates before giving up
-# a kite on an even T-node grid with |alpha| and |gamma| above
-# T * KITE_FLOOR_PER_NODE is simple without a crossing test (validate_shape)
+# validate_shape admits a kite on a T-node grid only with |alpha| and |gamma|
+# above T * KITE_FLOOR_PER_NODE, where it is simple in closed form
 KITE_FLOOR_PER_NODE = 2.0 ** -20
 
 
@@ -76,7 +76,8 @@ class ScatterConfig:
 
     Two fields are derived on construction: the wavenumber
     kappa0 = omega * sqrt(mu0 * eps0) * sin(theta), and the incidence
-    angles ``phis = incidences(c0)``.
+    angles ``phis = incidences(c0)``.  ``t_boundary`` is even:
+    ``validate_shape`` decides a kite by pairing its mirror nodes.
     """
 
     omega: float = 5.0
@@ -90,18 +91,17 @@ class ScatterConfig:
     kappa0: float = field(init=False)
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValidationError("omega must be positive")
+        # chained comparisons against inf refuse NaN and inf alike
+        for name in ("omega", "eps0", "mu0"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and positive")
         if not 0.0 < self.theta < math.pi:
             raise ValidationError("theta must lie strictly between 0 and pi")
-        for name in ("eps0", "mu0"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
         for name in ("t_boundary", "t0", "c0"):
             if type(getattr(self, name)) is not int:
                 raise ValidationError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if self.t_boundary < 4:
-            raise ValidationError("boundary grid needs at least 4 nodes")
+        if self.t_boundary < 4 or self.t_boundary % 2:
+            raise ValidationError("boundary grid needs an even number of nodes, at least 4")
         if self.t0 not in (32, 128):
             raise ValidationError("t0 must be 32 or 128")
         if self.c0 not in (2, 4, 8):
@@ -270,11 +270,12 @@ def _nodes(shape: BoundaryShape, tau: np.ndarray):
 def eval_curve(shape: BoundaryShape, tau, allow_degenerate: bool = False):
     """Evaluate boundary points and tangent derivatives.
 
-    The nodes come from a one-entry memo keyed by the exact bytes of the
-    class tag, coefficients, center and ``tau``, which ``validate_shape``
-    fills too: a generated row evaluates its boundary once, however many
-    incidences it has.  A hit returns the very arrays of the first call,
-    so they are read-only; copy them to write.
+    The nodes come from ``_nodes``, a one-entry memo keyed by the exact
+    bytes of the class tag, coefficients, center and ``tau``, which
+    ``validate_shape`` reads directly and so fills too: a generated row
+    evaluates its boundary once, however many incidences it has.  A hit
+    returns the very arrays of the first call, so they are read-only;
+    copy them to write.
 
     Parameters
     ----------
@@ -303,46 +304,6 @@ def eval_curve(shape: BoundaryShape, tau, allow_degenerate: bool = False):
     return points, deriv
 
 
-def polygon_is_simple(points: np.ndarray) -> bool:
-    """True when the closed polyline through ``points`` has no proper
-    self-crossing.  Adjacent edges (which share a vertex) are skipped;
-    the test uses strict orientation signs, so exact collinear touching
-    of non-adjacent edges is not flagged.
-
-    Edge i runs from a_i to b_i = a_{i+1} along e_i = b_i - a_i.  With
-    d1[i, j] = cross(e_i, a_j - a_i) and d2[i, j] = cross(e_i, b_j - a_i),
-    edge j's endpoints lie strictly on opposite sides of edge i's line
-    when p[i, j] = d1*d2 < 0, and edges i and j cross properly when
-    p[i, j] and p[j, i].  Pairs sharing a vertex need no mask: a_{i+1} -
-    a_i is the same rounded difference as e_i, and b_{i-1} - a_i rounds
-    to the exact negation of e_{i-1} before e_{i-1} is added back, so
-    d1[i, i], d1[i, i+1] and d2[i, i-1] come out exactly 0 (or NaN on
-    overflow) and never pass the strict test.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    t = len(points)
-    if t < 3:
-        raise ValidationError("polygon needs at least 3 vertices")
-    x, y = points[:, 0], points[:, 1]
-    ex = (np.roll(x, -1) - x)[:, None]
-    ey = (np.roll(y, -1) - y)[:, None]
-    # every (t, t) plane below is updated in place: the check is bound by
-    # memory traffic, and the arithmetic matches the textbook formula
-    # operation for operation, so the verdict is bit-for-bit the same
-    dx = x[None, :] - x[:, None]  # a_j - a_i
-    dy = y[None, :] - y[:, None]
-    d1 = ex * dy
-    d1 -= ey * dx
-    dx += ex.T  # b_j - a_i
-    dy += ey.T
-    dy *= ex
-    dx *= ey
-    dy -= dx  # d2
-    d1 *= dy
-    p = d1 < 0.0
-    return not (p & p.T).any()
-
-
 @dataclass(frozen=True)
 class ShapeDiagnostics:
     ok: bool
@@ -352,24 +313,14 @@ class ShapeDiagnostics:
     simple: bool
 
 
-def _kite_provably_simple(coeffs: np.ndarray, t: int) -> bool:
-    """Whether ``validate_shape``'s pairing argument settles that a kite
-    which passed the norm rule is simple on the t-node grid: t even, and
-    |alpha| and |gamma| above t * KITE_FLOOR_PER_NODE."""
-    floor = t * KITE_FLOOR_PER_NODE
-    return t % 2 == 0 and abs(coeffs[0]) > floor and abs(coeffs[2]) > floor
-
-
 def validate_shape(shape: BoundaryShape, config: ScatterConfig) -> ShapeDiagnostics:
     """Check a shape against the admissibility rules on the boundary grid.
 
     Rules: radial families need min rho > MIN_RADIAL on the grid; every
-    node must satisfy |x(tau)| < MAX_POINT_NORM; the polyline through the
-    nodes must be simple.  A NaN min rho or node norm breaks its rule.
-
-    The O(T**2) ``polygon_is_simple`` runs only where the answer is not
-    known in closed form: kites on odd grids, and kites with |alpha| or
-    |gamma| at or below the floor below.
+    node must satisfy |x(tau)| < MAX_POINT_NORM; a kite needs |alpha| and
+    |gamma| above T * KITE_FLOOR_PER_NODE.  A NaN min rho or node norm
+    breaks its rule.  The polyline through the nodes of a shape that keeps
+    these rules is simple, as shown below, so no crossing test runs.
 
     Radial families.  One that passed the first rule has nodes
     center + rho_k*(cos tau_k, sin tau_k) with every rho_k > 0 and angles
@@ -379,8 +330,9 @@ def validate_shape(shape: BoundaryShape, config: ScatterConfig) -> ShapeDiagnost
     non-adjacent edges meet only at ``center``, so no two non-adjacent
     edges meet: the polygon is star-shaped about ``center``, hence simple.
 
-    Kites on even grids.  The height y = gamma*sin(tau) + y0 is the same at
-    tau and pi - tau, so node k pairs with node T/2 - k at one height, and
+    Kites.  T is even (``ScatterConfig`` refuses odd grids).  The height
+    y = gamma*sin(tau) + y0 is the same at tau and pi - tau, so node k
+    pairs with node T/2 - k at one height, and
     x_k - x_{T/2-k} = 2*alpha*cos(tau_k): beta cancels.  The nodes with
     cos tau > 0 and those with cos tau < 0 form two chains, each strictly
     monotone in y, joined at the top and the bottom (by a node at
@@ -403,35 +355,29 @@ def validate_shape(shape: BoundaryShape, config: ScatterConfig) -> ShapeDiagnost
     least |alpha*gamma|*h**2/8 apart (the smallest ratio measured was 0.57
     of |alpha*gamma|*h**2, at T = 4).  With |alpha| and |gamma| above
     T * KITE_FLOOR_PER_NODE = T * 2**-20 that clearance is at least
-    pi**2 * 2**-41, about 4.5e-12: over 300 times delta and far above
-    the rounding of ``polygon_is_simple``'s own cross products (about
-    1e-15 in distance), so that test could only answer True and is
-    skipped.  Odd grids have no mirror nodes, and thin kites do cross
-    there; they, and kites at or below the floor, still run it.
+    pi**2 * 2**-41, about 4.5e-12: over 300 times delta, so the computed
+    nodes, each within delta of the exact ones, bound a simple polygon
+    too.  At or below the floor the clearance may shrink to the rounding,
+    and the kite is refused as too thin for the grid.  The floor is
+    1.2e-4 at T = 128, far under the sampled 0.15.
 
-    The nodes come from ``eval_curve``'s memo: radial families read rho
-    and the nodes from it directly, kites through ``eval_curve``.  Either
-    way the candidate ``sample_shape`` accepts leaves its nodes there, and
-    the surrogate calls of its row read them instead of evaluating the
-    boundary again: one evaluation per generated row.
+    Every family reads its nodes from ``_nodes``, the memo ``eval_curve``
+    reads too: the candidate ``sample_shape`` accepts leaves its nodes
+    there, and the surrogate calls of its row read them instead of
+    evaluating the boundary again: one evaluation per generated row.
     """
-    tau = boundary_grid(config.t_boundary)
-    min_radial = None
-    if shape.class_tag in (ShapeClass.PEANUT, ShapeClass.STAR):
-        rho, points, _ = _nodes(shape, tau)
-        min_radial = float(rho.min())
-        # this test and the norm test below are written negated, so a NaN
-        # fails them
-        if not min_radial > MIN_RADIAL:
-            return ShapeDiagnostics(False, "radial profile too small", min_radial, math.nan, False)
-    else:
-        points, _ = eval_curve(shape, tau, allow_degenerate=True)
+    rho, points, _ = _nodes(shape, boundary_grid(config.t_boundary))
+    min_radial = None if rho is None else float(rho.min())
+    # this test and the norm test below are written negated, so a NaN
+    # fails them
+    if rho is not None and not min_radial > MIN_RADIAL:
+        return ShapeDiagnostics(False, "radial profile too small", min_radial, math.nan, False)
     max_norm = float(np.hypot(points[:, 0], points[:, 1]).max())
     if not max_norm < MAX_POINT_NORM:
         return ShapeDiagnostics(False, "boundary too close to outer circle", min_radial, max_norm, True)
-    if min_radial is None and not (_kite_provably_simple(shape.coeffs, config.t_boundary)
-                                   or polygon_is_simple(points)):
-        return ShapeDiagnostics(False, "boundary self-intersects", min_radial, max_norm, False)
+    floor = config.t_boundary * KITE_FLOOR_PER_NODE
+    if rho is None and not (abs(shape.coeffs[0]) > floor and abs(shape.coeffs[2]) > floor):
+        return ShapeDiagnostics(False, "kite too thin for the grid", min_radial, max_norm, False)
     return ShapeDiagnostics(True, None, min_radial, max_norm, True)
 
 

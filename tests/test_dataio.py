@@ -35,6 +35,7 @@ from circscatter.geometry import (
     sample_shape,
     shape_to_targets,
 )
+from oracles import reference_validate_shape
 
 
 def circle(radius, center=(0.0, 0.0), impedance=1.0):
@@ -103,7 +104,7 @@ def test_surrogate_matches_direct_triple_loop():
     npt.assert_allclose(h, h_ref, atol=1e-13)
 
 
-@pytest.mark.parametrize("t_boundary", [128, 127])
+@pytest.mark.parametrize("t_boundary", [128, 126])
 @pytest.mark.parametrize("phi", [0.0, math.pi])
 def test_surrogate_matches_triple_loop_on_superset_grid(t_boundary, phi):
     # T0=128 with both incidences, as stored in the superset; the
@@ -427,8 +428,8 @@ def test_generated_targets_and_ids_are_pinned(name):
 @pytest.mark.parametrize("name", ["kite", "classification", "superset"])
 @pytest.mark.parametrize("seed", [5, 2024])
 def test_kite_closed_form_leaves_generation_unchanged(monkeypatch, name, seed):
-    # validate_shape decides generated kites (even T = 128) in closed form;
-    # sending every kite through the crossing test instead gives the same
+    # validate_shape decides generated kites in closed form; sending every
+    # candidate through the crossing-test reference instead gives the same
     # bytes
     def generate():
         if name == "superset":
@@ -436,15 +437,12 @@ def test_kite_closed_form_leaves_generation_unchanged(monkeypatch, name, seed):
         suite = pipeline.SUITES[name]
         return pipeline.suite_dataset(name, scale=30 / suite.n_full, seed=seed)
 
-    crossing_tests = []
-    real = geometry.polygon_is_simple
-    monkeypatch.setattr(geometry, "polygon_is_simple",
-                        lambda points: crossing_tests.append(1) or real(points))
     fast = generate()
-    assert not crossing_tests
-    monkeypatch.setattr(geometry, "_kite_provably_simple", lambda coeffs, t: False)
+    checks = []
+    monkeypatch.setattr(geometry, "validate_shape",
+                        lambda shape, cfg: checks.append(1) or reference_validate_shape(shape, cfg))
     slow = generate()
-    assert crossing_tests
+    assert checks
     assert fast.features.tobytes() == slow.features.tobytes()
     assert fast.targets.dtype == slow.targets.dtype
     assert fast.targets.tobytes() == slow.targets.tobytes()

@@ -16,12 +16,12 @@ from circscatter.geometry import (
     boundary_grid,
     draw_shape_candidate,
     eval_curve,
-    polygon_is_simple,
     sample_shape,
     shape_to_targets,
     targets_to_shape,
     validate_shape,
 )
+from oracles import reference_polygon_is_simple, reference_validate_shape
 
 try:
     from hypothesis import given, settings
@@ -71,8 +71,10 @@ def test_config_validation():
         ScatterConfig(theta=0.0)
     with pytest.raises(errors.ValidationError):
         ScatterConfig(t0=33)
-    with pytest.raises(errors.ValidationError):
-        ScatterConfig(t_boundary=3)
+    # the boundary grid is even, which validate_shape's kite rule needs
+    for t in (3, 5, 127):
+        with pytest.raises(errors.ValidationError, match="even number of nodes"):
+            ScatterConfig(t_boundary=t)
     # grid sizes are ints: a float or a bool is refused on construction,
     # not later by generate_dataset
     for bad in ({"t0": 32.0, "c0": 2.0}, {"t0": 32.0}, {"c0": 2.0}, {"t_boundary": 128.0},
@@ -84,6 +86,15 @@ def test_config_validation():
     # the incidences follow from c0
     assert cfg.phis == (0.0, math.pi)
     assert ScatterConfig().phis == ScatterConfig(c0=4).phis == (0.0,)
+
+
+@pytest.mark.parametrize("name", ["omega", "eps0", "mu0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_refuses_non_finite_constants(name, value):
+    # NaN compares False both ways, so a plain "<= 0" check let it through
+    # to kappa0 = NaN and a generation run that failed only at its end
+    with pytest.raises(errors.ValidationError, match=f"{name} must be finite and positive"):
+        ScatterConfig(**{name: value})
 
 
 # ---------------------------------------------------------------- grids
@@ -311,8 +322,8 @@ def test_eval_curve_returns_read_only_arrays():
 
 
 def test_validate_shape_fills_the_memo_eval_curve_reads():
-    # a radial candidate's validation evaluates its nodes once; a kite's
-    # goes through eval_curve itself
+    # validating a candidate of any family evaluates its nodes once, into
+    # the memo eval_curve reads
     cfg = ScatterConfig()
     tau = boundary_grid(cfg.t_boundary)
     for shape in memo_shapes():
@@ -371,96 +382,34 @@ def test_validate_rejects_outer_collision():
     assert not diag.ok
 
 
-def test_polygon_simplicity_detector():
+def test_reference_crossing_test_flags_a_bowtie():
+    # the oracle the closed-form rules are checked against
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    assert polygon_is_simple(square)
+    assert reference_polygon_is_simple(square)
     bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-    assert not polygon_is_simple(bowtie)
-    with pytest.raises(errors.ValidationError):
-        polygon_is_simple(square[:2])
+    assert not reference_polygon_is_simple(bowtie)
 
 
-def reference_polygon_is_simple(points):
-    """The straightforward (T, T, 2) formulation of polygon_is_simple,
-    kept as the oracle for the in-place version."""
-    points = np.asarray(points, dtype=np.float64)
-    t = len(points)
-    e = np.roll(points, -1, axis=0) - points
-    diff = points[None, :, :] - points[:, None, :]
-    d1 = e[:, None, 0] * diff[..., 1] - e[:, None, 1] * diff[..., 0]
-    b_diff = diff + e[None, :, :]
-    d2 = e[:, None, 0] * b_diff[..., 1] - e[:, None, 1] * b_diff[..., 0]
-    crossing = (d1 * d2 < 0.0) & (d1.T * d2.T < 0.0)
-    idx = np.arange(t)
-    gap = (idx[None, :] - idx[:, None]) % t
-    crossing &= (gap != 0) & (gap != 1) & (gap != t - 1)
-    return not bool(np.any(crossing))
+def expected_diagnostics(shape, cfg):
+    """The crossing-test reference's verdict, except that a kite inside
+    the outer circle with |alpha| or |gamma| at or below the grid's floor
+    is refused as too thin."""
+    want = reference_validate_shape(shape, cfg)
+    floor = cfg.t_boundary * geometry.KITE_FLOOR_PER_NODE
+    if (shape.class_tag == ShapeClass.KITE and want.max_norm < geometry.MAX_POINT_NORM
+            and min(abs(shape.coeffs[[0, 2]])) <= floor):
+        return geometry.ShapeDiagnostics(False, "kite too thin for the grid", None,
+                                         want.max_norm, False)
+    return want
 
 
-def test_polygon_is_simple_matches_reference():
-    rng = np.random.default_rng(20261018)
-    verdicts = []
-    # random point clouds: almost always self-crossing once T > 4
-    for _ in range(400):
-        t = int(rng.integers(3, 257))
-        verdicts.append((rng.normal(size=(t, 2)), t))
-    # kites on grids of every size, alpha scaled down by up to 1e-6: the
-    # thinnest fold onto themselves and their polygons cross
-    kites = []
-    for _ in range(600):
-        t = int(rng.integers(4, 257))
-        coeffs = draw_shape_candidate(ShapeClass.KITE, rng).coeffs
-        coeffs[0] *= 10.0 ** rng.uniform(-6.0, 0.0)
-        shape = BoundaryShape(ShapeClass.KITE, coeffs, rng.uniform(-0.2, 0.2, 2), 1.0)
-        kites.append((eval_curve(shape, boundary_grid(t))[0], t))
-    verdicts += kites
-    # near-degenerate inputs: collinear runs, repeated vertices, and
-    # coordinates whose cross products overflow
-    for t in (3, 4, 5, 16):
-        line = np.stack([np.arange(t, dtype=float), np.zeros(t)], axis=1)
-        verdicts.append((line, t))
-        verdicts.append((np.repeat(line[: (t + 1) // 2], 2, axis=0)[:t], t))
-        verdicts.append((rng.normal(size=(t, 2)) * 1e160, t))
-    simple = 0
-    for points, t in verdicts:
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = polygon_is_simple(points)
-            assert got == reference_polygon_is_simple(points), t
-        assert type(got) is bool
-        simple += got
-    assert simple >= 200 and len(verdicts) - simple >= 300
-    kites_simple = sum(reference_polygon_is_simple(points) for points, _ in kites)
-    assert 100 <= kites_simple <= len(kites) - 100
-
-
-def reference_validate_shape(shape, config):
-    """validate_shape with the crossing test run for every family."""
-    tau = boundary_grid(config.t_boundary)
-    min_radial = None
-    if shape.class_tag in (ShapeClass.PEANUT, ShapeClass.STAR):
-        rho, _ = geometry._radial_profile(shape.class_tag, shape.coeffs, tau)
-        min_radial = float(np.min(rho))
-        if min_radial <= geometry.MIN_RADIAL:
-            return geometry.ShapeDiagnostics(
-                False, "radial profile too small", min_radial, math.nan, False)
-    points, _ = eval_curve(shape, tau, allow_degenerate=True)
-    max_norm = float(np.max(np.hypot(points[:, 0], points[:, 1])))
-    if max_norm >= geometry.MAX_POINT_NORM:
-        return geometry.ShapeDiagnostics(
-            False, "boundary too close to outer circle", min_radial, max_norm, True)
-    if not reference_polygon_is_simple(points):
-        return geometry.ShapeDiagnostics(
-            False, "boundary self-intersects", min_radial, max_norm, False)
-    return geometry.ShapeDiagnostics(True, None, min_radial, max_norm, True)
-
-
-def test_radial_shortcut_matches_full_check(monkeypatch):
+def test_radial_shortcut_matches_full_check():
     # peanuts and stars that pass the radial floor are star-shaped about
-    # their center, so validate_shape skips the crossing test for them.
-    # Thin kites cross only on odd grids: at even T each node has a mirror
-    # node at the same height, 2*alpha*cos(tau) away, so the test runs
-    # there only for kites at or below the floor on |alpha| and |gamma|.
-    configs = (ScatterConfig(), ScatterConfig(t_boundary=127))
+    # their center, and kites above the floor on |alpha| and |gamma| have
+    # a mirror node at each node's height, 2*alpha*cos(tau) away, so no
+    # crossing test runs.  T = 126 joins a kite's two chains by horizontal
+    # edges (T/2 odd), T = 128 by nodes.
+    configs = (ScatterConfig(), ScatterConfig(t_boundary=126))
     rng = np.random.default_rng(77)
     shapes = []
     for tag in ShapeClass:
@@ -468,12 +417,12 @@ def test_radial_shortcut_matches_full_check(monkeypatch):
             cand = draw_shape_candidate(tag, rng)
             coeffs = cand.coeffs * rng.uniform(0.5, 2.0, size=cand.coeffs.shape)
             shapes.append(BoundaryShape(tag, coeffs, cand.center, 1.0, check_ranges=False))
-    for _ in range(50):  # thin kites whose polygons cross
+    for _ in range(50):  # thin kites on both sides of the floor
         cand = draw_shape_candidate(ShapeClass.KITE, rng)
         coeffs = cand.coeffs * np.array([10.0 ** rng.uniform(-6.0, -2.0), 1.0, 1.0])
         shapes.append(BoundaryShape(ShapeClass.KITE, coeffs, cand.center, 1.0))
-    # even-T kites with |alpha| or |gamma| just above, at and just below
-    # the floor of the default grid
+    # kites with |alpha| or |gamma| just above, at and just below the
+    # floor of the default grid
     floor = ScatterConfig().t_boundary * geometry.KITE_FLOOR_PER_NODE
     for scale in (1 + 1e-12, 1.0, 1 - 1e-12):
         for coeffs in ([floor * scale, 0.1, 0.25], [0.25, 0.1, -floor * scale],
@@ -486,25 +435,15 @@ def test_radial_shortcut_matches_full_check(monkeypatch):
         # peanut rho = sqrt(alpha) on the x axis when alpha < beta
         shapes.append(BoundaryShape(ShapeClass.PEANUT, [radius**2, 0.01], [0.0, 0.0],
                                     1.0, check_ranges=False))
-    crossing_tests = []
-    real = geometry.polygon_is_simple
-    monkeypatch.setattr(geometry, "polygon_is_simple",
-                        lambda points: crossing_tests.append(1) or real(points))
     reasons = set()
     for shape, cfg in itertools.product(shapes, configs):
-        before = len(crossing_tests)
         diag = validate_shape(shape, cfg)
-        assert diag == reference_validate_shape(shape, cfg)
-        kite = shape.class_tag == ShapeClass.KITE
-        t = cfg.t_boundary
-        assert len(crossing_tests) == before + (
-            kite and diag.max_norm < geometry.MAX_POINT_NORM
-            and (t % 2 == 1 or min(abs(shape.coeffs[[0, 2]])) <= t * geometry.KITE_FLOOR_PER_NODE))
+        assert diag == expected_diagnostics(shape, cfg)
         reasons.add((shape.class_tag, diag.reason))
     for tag in ShapeClass:
         assert (tag, None) in reasons
         assert (tag, "boundary too close to outer circle") in reasons
-    assert (ShapeClass.KITE, "boundary self-intersects") in reasons
+    assert (ShapeClass.KITE, "kite too thin for the grid") in reasons
     assert (ShapeClass.PEANUT, "radial profile too small") in reasons
     assert (ShapeClass.STAR, "radial profile too small") in reasons
 
@@ -512,13 +451,12 @@ def test_radial_shortcut_matches_full_check(monkeypatch):
 if st is not None:
     @st.composite
     def kites_on_grids(draw):
-        """A kite and the grid it is checked on: even T from 4 to 256, or a
-        few odd T.  Alpha, beta and gamma are signed and log-scaled, from
-        ten decades below the grid's floor on |alpha| and |gamma| up to 0.6;
-        alpha and gamma are drawn at the floor or an ulp either side of it
-        one time in five, below it one time in five, above it otherwise."""
-        odd = draw(st.integers(0, 3)) == 0
-        t = draw(st.sampled_from([5, 7, 9, 33, 127]) if odd else st.integers(2, 128).map(lambda k: 2 * k))
+        """A kite and the grid it is checked on: even T from 4 to 256.
+        Alpha, beta and gamma are signed and log-scaled, from ten decades
+        below the grid's floor on |alpha| and |gamma| up to 0.6; alpha and
+        gamma are drawn at the floor or an ulp either side of it one time
+        in five, below it one time in five, above it otherwise."""
+        t = draw(st.integers(2, 128).map(lambda k: 2 * k))
         floor = t * geometry.KITE_FLOOR_PER_NODE
         lg_floor = math.log10(floor)
 
@@ -541,7 +479,7 @@ if st is not None:
     @given(case=kites_on_grids())
     def test_kite_verdicts_match_reference(case):
         shape, cfg = case
-        assert validate_shape(shape, cfg) == reference_validate_shape(shape, cfg)
+        assert validate_shape(shape, cfg) == expected_diagnostics(shape, cfg)
 else:
     @pytest.mark.skip(reason="hypothesis is not installed")
     def test_kite_verdicts_match_reference():
@@ -562,8 +500,8 @@ def test_nan_profile_and_norm_are_rejected(monkeypatch):
     assert math.isnan(diag.min_radial)
     # a NaN node norm is "too close to the outer circle", not admissible
     t = ScatterConfig().t_boundary
-    monkeypatch.setattr(geometry, "eval_curve",
-                        lambda *args, **kwargs: (np.full((t, 2), np.nan), None))
+    monkeypatch.setattr(geometry, "_nodes",
+                        lambda *args: (None, np.full((t, 2), np.nan), None))
     diag = validate_shape(kite(), ScatterConfig())
     assert not diag.ok and diag.reason == "boundary too close to outer circle"
     assert math.isnan(diag.max_norm)
@@ -580,6 +518,13 @@ def test_sampling_is_deterministic():
         npt.assert_array_equal(a.coeffs, b.coeffs)
         npt.assert_array_equal(a.center, b.center)
         assert a.impedance == b.impedance
+
+
+def test_kite_floor_lies_below_the_sampling_ranges():
+    # so the floor rule never refuses a drawn kite
+    floor = ScatterConfig().t_boundary * geometry.KITE_FLOOR_PER_NODE
+    assert geometry.KITE_ALPHA_RANGE[0] > floor
+    assert geometry.KITE_GAMMA_RANGE[0] > floor
 
 
 def test_sampled_shapes_respect_ranges():
