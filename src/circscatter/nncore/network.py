@@ -28,6 +28,8 @@ from ..serial import atomic_write, parse_json_object
 from . import layers
 
 MODEL_MAGIC = b"cscmodel-v1"
+# samples per block of a streamed eval pass (see network_forward)
+EVAL_BLOCK = 128
 
 
 # ---------------------------------------------------------------- layer specs
@@ -461,6 +463,17 @@ def network_forward(spec: NetworkSpec, params: Parameters, x: np.ndarray,
     An eval pass drops each layer's cache as soon as the layer has run,
     and over frozen params its long-kernel convs read their filter
     spectra from the params' memo.
+
+    From 2 * EVAL_BLOCK rows on, an eval pass streams the layers before
+    Flatten over blocks of EVAL_BLOCK samples (the last block takes the
+    remainder, so every block holds EVAL_BLOCK to 2 * EVAL_BLOCK - 1),
+    writes each block's flattened rows into one (B, d) matrix, and runs
+    Flatten and the dense head once over the whole batch.  Only one
+    block's im2col columns and activations are live at a time.  Every
+    output byte is the whole-batch pass's, since each pre-Flatten layer
+    computes every sample on its own and the head's GEMMs keep their
+    shapes; tests/test_network.py checks the bytes, because a BLAS may
+    pick its kernel by a GEMM's row count.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -470,6 +483,8 @@ def network_forward(spec: NetworkSpec, params: Parameters, x: np.ndarray,
             f"input must be (B, {spec.input_t}, {spec.input_c}), got {x.shape}")
     h = x
     if mode == "eval":
+        if len(h) >= 2 * EVAL_BLOCK:
+            return _streamed_eval(spec, params, h)
         for layer, group, memo in zip(spec.layers, params.layers, params.memos):
             h = layer.forward(group, h, rng, False, memo)[0]
         return h
@@ -478,6 +493,41 @@ def network_forward(spec: NetworkSpec, params: Parameters, x: np.ndarray,
         h, cache = layer.forward(group, h, rng, True)
         caches.append(cache)
     return h, NetworkCache(caches, params.version)
+
+
+def _eval_layers(spec: NetworkSpec, params: Parameters, h: np.ndarray,
+                 start: int, stop: int) -> np.ndarray:
+    """Eval-mode pass of ``h`` through layers start .. stop - 1, dropping
+    each layer's cache as soon as the layer has run."""
+    for i in range(start, stop):
+        h = spec.layers[i].forward(params.layers[i], h, None, False, params.memos[i])[0]
+    return h
+
+
+def _flatten_index(spec: NetworkSpec) -> int:
+    """The position of the Flatten layer, which every valid spec has once."""
+    return next(i for i, layer in enumerate(spec.layers) if isinstance(layer, Flatten))
+
+
+def _streamed_eval(spec: NetworkSpec, params: Parameters, x: np.ndarray) -> np.ndarray:
+    """network_forward's eval pass over a batch of at least 2 * EVAL_BLOCK
+    rows: the pre-Flatten stage block by block, then the head once.
+
+    Blocks never go below EVAL_BLOCK samples: at 32 or 64 the attention
+    gate's (B, C) @ (C, C / r) GEMM takes another BLAS path and changes
+    ap10's output bytes."""
+    flat = _flatten_index(spec)
+    n = len(x)
+    blocks = n // EVAL_BLOCK
+    rows = None
+    for k in range(blocks):
+        lo = k * EVAL_BLOCK
+        hi = n if k == blocks - 1 else lo + EVAL_BLOCK
+        h = _eval_layers(spec, params, x[lo:hi], 0, flat)
+        if rows is None:
+            rows = np.empty((n, h[0].size), h.dtype)
+        rows[lo:hi] = h.reshape(hi - lo, -1)
+    return _eval_layers(spec, params, rows, flat, len(spec.layers))
 
 
 def network_backward(spec: NetworkSpec, params: Parameters, cache: NetworkCache,
@@ -516,12 +566,7 @@ def network_backward(spec: NetworkSpec, params: Parameters, cache: NetworkCache,
 def forward_features(spec: NetworkSpec, params: Parameters, x: np.ndarray) -> np.ndarray:
     """Eval-mode pass stopping just before Flatten; returns the (B, T, C)
     feature tensor (used to probe shift equivariance)."""
-    h = np.asarray(x)
-    for layer, group, memo in zip(spec.layers, params.layers, params.memos):
-        if isinstance(layer, Flatten):
-            return h
-        h = layer.forward(group, h, None, False, memo)[0]
-    raise ValidationError("spec has no Flatten layer")
+    return _eval_layers(spec, params, np.asarray(x), 0, _flatten_index(spec))
 
 
 def l2_penalty(spec: NetworkSpec, params: Parameters) -> float:

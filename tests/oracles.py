@@ -1,5 +1,5 @@
-"""Slow, plain reference implementations the geometry and generation tests
-check the library against."""
+"""Slow, plain reference implementations the geometry, generation and
+network tests check the library against."""
 
 import math
 
@@ -48,3 +48,13 @@ def reference_validate_shape(shape, config):
         return geometry.ShapeDiagnostics(
             False, "boundary self-intersects", min_radial, max_norm, False)
     return geometry.ShapeDiagnostics(True, None, min_radial, max_norm, True)
+
+
+def reference_eval_forward(spec, params, x):
+    """An eval-mode network pass over the whole batch at once, layer by
+    layer, each layer's cache dropped once it has run: the pass that
+    network_forward streams in blocks from 2 * EVAL_BLOCK rows on."""
+    h = x
+    for layer, group, memo in zip(spec.layers, params.layers, params.memos):
+        h = layer.forward(group, h, None, False, memo)[0]
+    return h

@@ -27,7 +27,9 @@ from circscatter.nncore import (
     preset_spec,
     save_model,
 )
+from circscatter.nncore.network import EVAL_BLOCK
 from circscatter.pipeline import TrainedModel
+from oracles import reference_eval_forward
 
 
 def tiny_spec(task="reg", out=3):
@@ -516,6 +518,48 @@ def test_eval_pass_keeps_no_caches():
             tracemalloc.stop()
     assert outs[0].tobytes() == outs[1].tobytes()
     assert peaks[0] < 0.75 * peaks[1], peaks
+
+
+STREAM_SIZES = (1, 127, 128, 255, 256, 257, 383, 384, 640)
+
+
+@pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "writable"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("preset", ["ap1", "ap2", "ap4", "ap7", "ap10"])
+def test_streamed_eval_is_bitwise_the_whole_batch_pass(preset, dtype, frozen):
+    # from 2 * EVAL_BLOCK rows the layers before Flatten run block by
+    # block and the head once: every byte is the whole-batch pass's, on
+    # either side of the threshold and with a remainder block or none;
+    # the long-kernel presets skip 383 and 640 rows to bound the test's time
+    spec = preset_spec(preset)
+    params = init_parameters(spec, seed=4, dtype=dtype)
+    if frozen:
+        params.freeze()
+    x = preset_input(spec, STREAM_SIZES[-1], seed=5).astype(dtype)
+    sizes = STREAM_SIZES if spec.input_t == 32 else STREAM_SIZES[:6] + (384,)
+    for n in sizes:
+        want = reference_eval_forward(spec, params, x[:n])
+        got = network_forward(spec, params, x[:n])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), f"{preset} n={n} differs from the whole batch"
+
+
+def test_streamed_eval_peaks_below_half_the_whole_batch():
+    # only one block's im2col columns and activations are live at a time
+    spec = preset_spec("ap10")
+    params = init_parameters(spec, seed=6).freeze()
+    x = preset_input(spec, 4 * EVAL_BLOCK, seed=7)
+    network_forward(spec, params, x[:1])   # the memo is paid outside the peaks
+    peaks, outs = [], []
+    for run in (network_forward, reference_eval_forward):
+        tracemalloc.start()
+        try:
+            outs.append(run(spec, params, x))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert outs[0].tobytes() == outs[1].tobytes()
+    assert peaks[0] < 0.5 * peaks[1], peaks
 
 
 def test_l2_penalty_value():

@@ -1,4 +1,8 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -391,6 +395,40 @@ def test_ap10_step_holds_its_cache_and_no_full_size_scratch():
         tracemalloc.stop()
     bound = 1.25 * cache_bytes + 2 * largest + 2 ** 20
     assert peak < bound, (peak, cache_bytes, largest)
+
+
+HEAP_SCRIPT = """
+import resource
+from circscatter import dataio, training
+from circscatter.nncore import preset_spec
+import numpy as np
+
+spec = preset_spec("ap1")
+rng = np.random.default_rng(0)
+x = rng.standard_normal((640, spec.input_t * spec.input_c)).astype(np.float32)
+y = rng.integers(1, 4, 640)
+split = dataio.split_dataset(640, 0)
+cfg = training.preset_train_config("ap1", seed=0, max_epochs=6)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    training.train(spec, x, y, split, cfg, classes=(1, 2, 3))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_train_reuses_its_heap_across_steps():
+    # desk-shaped ap1 training (512 train rows, batch 64, 6 epochs) in a
+    # fresh interpreter: once settle_heap has raised the allocator's
+    # thresholds, a step's freed activations are reused by the next step,
+    # so the second train() takes almost no minor faults (about 70K when
+    # glibc trims its heap after every step and faults it in again)
+    env = dict(os.environ, CIRCSCATTER_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", HEAP_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout)
+    assert faults < 5000, faults
 
 
 def test_early_stopping_contract():
