@@ -8,8 +8,10 @@ training uses float32 and gradient verification float64.
 
 A cache holds what its backward reads and nothing more:
 
-- conv: the im2col rows, the input shape, w, stride and K (im2col path),
-  or the input and conjugated filter spectra (FFT path, _FFTCache);
+- conv: its input itself, w, stride and K (im2col path; the backward
+  gathers the im2col rows again, so the cache is the size of the input
+  rather than K/S times it), or the input and conjugated filter spectra
+  (FFT path, _FFTCache);
 - swish: its derivative s * (1 + z * (1 - s)) alone, and nothing when
   ``train`` is false (eval passes compute no derivative);
 - layer norm: xhat, 1/sigma and the gain;
@@ -43,21 +45,6 @@ def pad_lengths(kernel_size: int) -> tuple[int, int]:
         raise ValidationError("kernel size must be >= 1")
     left = (kernel_size - 1) // 2
     return left, (kernel_size - 1) - left
-
-
-def circular_pad(x: np.ndarray, kernel_size: int) -> np.ndarray:
-    """Wrap a (B, T, C) tensor to length T + K - 1 along axis 1.
-
-    Padded row j holds X[(j - P_left) mod T], which also covers K > T by
-    wrapping more than once.
-    """
-    t = x.shape[1]
-    left, right = pad_lengths(kernel_size)
-    if kernel_size - 1 <= t:
-        # each wrapped tail is a slice of x
-        return np.concatenate((x[:, t - left:], x, x[:, :right]), axis=1)
-    idx = (np.arange(-left, t + right)) % t
-    return x[:, idx, :]
 
 
 def circular_pad_backward(d_padded: np.ndarray, t: int) -> np.ndarray:
@@ -132,6 +119,30 @@ def _use_fft(nb: int, k: int, stride: int, spectrum_paid: bool = False) -> bool:
     return stride == 1 and k >= 15 and (spectrum_paid or nb * k >= 160)
 
 
+# a model's convs ask for a few (T, K, S) triples, but a sweep over
+# shapes (the conv length-law tests) asks for thousands; the cap bounds
+# what such a sweep keeps
+ROWS_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=ROWS_MEMO_SIZE)
+def _conv_rows(t: int, k: int, stride: int) -> np.ndarray:
+    """Read-only source rows of the im2col columns: entry i*K + kk is
+    (i*S + kk - P_left) mod T, the input row that window i, tap kk reads
+    (padded row i*S + kk)."""
+    windows = np.arange(conv_output_length(t, stride)) * stride - pad_lengths(k)[0]
+    rows = ((windows[:, None] + np.arange(k)) % t).reshape(-1)
+    rows.setflags(write=False)
+    return rows
+
+
+def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """The (B*T_out, K*C) im2col columns of x (B, T, C): one gather of
+    _conv_rows, laid out C-contiguous whatever x's layout."""
+    _, t, c = x.shape
+    return x.take(_conv_rows(t, k, stride), axis=1).reshape(-1, k * c)
+
+
 def circular_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
                           memo=None):
     """Y[i, j] = sum_{k, c} W[j, k, c] * Xpad[i*S + k, c] + b[j].
@@ -142,6 +153,11 @@ def circular_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: i
     given, is a dict kept for a read-only w (this layer's entry in a
     frozen Parameters' memos); the FFT path then takes its filter spectrum
     from it, computing it on the first call.
+
+    The im2col path gathers its columns with one ``take`` of the cached
+    row index _conv_rows (a memo of at most ROWS_MEMO_SIZE (T, K, S)
+    triples) and caches x itself, (x, w, stride, k), not the columns,
+    which are K/S times its size: the backward gathers them again.
     """
     nb, t, c = x.shape
     nf, k, cin = w.shape
@@ -157,31 +173,25 @@ def circular_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: i
             if memo is not None:
                 memo[(t, dtype)] = g_conj
         return _fft_conv_forward(x, g_conj, b, k)
-    padded = np.ascontiguousarray(circular_pad(x, k))
-    t_out = conv_output_length(t, stride)
-    sb, st, sc = padded.strides
-    # window i, tap kk is padded row i*S + kk: a (B, T_out, K, C) strided
-    # view of padded's buffer (numpy checks that it fits), whose reshape is
-    # the one copy that lays the im2col rows out
-    win = np.ndarray((nb, t_out, k, c), padded.dtype, padded, 0, (sb, stride * st, st, sc))
-    cols = win.reshape(nb * t_out, k * c)
-    y = cols @ w.reshape(nf, k * c).T
+    y = _im2col(x, k, stride) @ w.reshape(nf, k * c).T
     y += b
-    cache = (cols, (nb, t, c), w, stride, k)
-    return y.reshape(nb, t_out, nf), cache
+    return y.reshape(nb, conv_output_length(t, stride), nf), (x, w, stride, k)
 
 
 def circular_conv_backward(dy: np.ndarray, cache, need_dx: bool = True):
     """Returns (dx, dw, db); dx is None when need_dx is false, and then
-    none of its work is done."""
+    none of its work is done.  On the im2col path the columns are gathered
+    again from the cached input for the dw GEMM (the bytes the forward
+    multiplied) and freed before the dcols GEMM."""
     if isinstance(cache, _FFTCache):
         return _fft_conv_backward(dy, cache, need_dx)
-    cols, (nb, t, c), w, stride, k = cache
+    x, w, stride, k = cache
+    nb, t, c = x.shape
     nf = w.shape[0]
     t_out = dy.shape[1]
     dy2 = dy.reshape(nb * t_out, nf)
     db = dy2.sum(axis=0)
-    dw = (dy2.T @ cols).reshape(nf, k, c)
+    dw = (dy2.T @ _im2col(x, k, stride)).reshape(nf, k, c)
     if not need_dx:
         return None, dw, db
     dcols = (dy2 @ w.reshape(nf, k * c)).reshape(nb, t_out, k, c)

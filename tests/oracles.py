@@ -1,5 +1,5 @@
-"""Slow, plain reference implementations the geometry, generation and
-network tests check the library against."""
+"""Slow, plain reference implementations the geometry, generation,
+layer and network tests check the library against."""
 
 import math
 
@@ -7,6 +7,7 @@ import numpy as np
 
 from circscatter import geometry
 from circscatter.geometry import ShapeClass, boundary_grid, eval_curve
+from circscatter.nncore.layers import pad_lengths
 
 
 def reference_polygon_is_simple(points):
@@ -26,6 +27,16 @@ def reference_polygon_is_simple(points):
     gap = (idx[None, :] - idx[:, None]) % t
     crossing &= (gap != 0) & (gap != 1) & (gap != t - 1)
     return not bool(np.any(crossing))
+
+
+def circular_pad(x, kernel_size):
+    """Wrap a (B, T, C) tensor to length T + K - 1 along axis 1: padded
+    row j holds X[(j - P_left) mod T], which also covers K > T by wrapping
+    more than once.  The input whose K-row windows a circular conv reads,
+    and whose rows circular_pad_backward folds back."""
+    t = x.shape[1]
+    left, right = pad_lengths(kernel_size)
+    return x[:, np.arange(-left, t + right) % t]
 
 
 def reference_validate_shape(shape, config):

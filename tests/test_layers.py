@@ -8,6 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from circscatter import errors
 from circscatter.nncore import Attention, Conv, init_parameters, layers, preset_spec
+from oracles import circular_pad
 
 
 def fd_grad(loss, x, h=1e-6):
@@ -30,17 +31,17 @@ def fd_grad(loss, x, h=1e-6):
 
 def test_circular_pad_known_rows():
     x = np.arange(4.0).reshape(1, 4, 1)
-    padded = layers.circular_pad(x, 3)
+    padded = circular_pad(x, 3)
     npt.assert_array_equal(padded[0, :, 0], [3, 0, 1, 2, 3, 0])
-    padded = layers.circular_pad(x, 4)  # uneven split: left 1, right 2
+    padded = circular_pad(x, 4)  # uneven split: left 1, right 2
     npt.assert_array_equal(padded[0, :, 0], [3, 0, 1, 2, 3, 0, 1])
-    padded = layers.circular_pad(x, 1)
+    padded = circular_pad(x, 1)
     npt.assert_array_equal(padded, x)
-    # K - 1 == T: the longest pad whose wrapped tails are slices of x
-    padded = layers.circular_pad(x, 5)
+    # K - 1 == T: the two tails together are one whole copy of x
+    padded = circular_pad(x, 5)
     npt.assert_array_equal(padded[0, :, 0], [2, 3, 0, 1, 2, 3, 0, 1])
     # kernel longer than the signal wraps more than once
-    padded = layers.circular_pad(x, 9)
+    padded = circular_pad(x, 9)
     npt.assert_array_equal(padded[0, :, 0], [0, 1, 2, 3] * 3)
 
 
@@ -58,7 +59,7 @@ def test_pad_backward_is_adjoint():
     for t, k in [(4, 3), (4, 4), (5, 1), (6, 31), (3, 9)]:
         x = rng.standard_normal((2, t, 3))
         y = rng.standard_normal((2, t + k - 1, 3))
-        lhs = float(np.sum(layers.circular_pad(x, k) * y))
+        lhs = float(np.sum(circular_pad(x, k) * y))
         rhs = float(np.sum(x * layers.circular_pad_backward(y, t)))
         assert abs(lhs - rhs) < 1e-10
 
@@ -95,7 +96,7 @@ def test_conv_matches_direct_sum():
     b = rng.standard_normal(4)
     for stride in (1, 2, 3):
         y, _ = layers.circular_conv_forward(x, w, b, stride)
-        padded = layers.circular_pad(x, 5)
+        padded = circular_pad(x, 5)
         for bi in range(2):
             for i in range(y.shape[1]):
                 for j in range(4):
@@ -125,10 +126,12 @@ def test_conv_gradients_match_fd():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_columns_match_sliding_window_construction(dtype):
-    # the im2col rows come from one strided view of the padded input; they
-    # and the output equal the index-padded sliding_window_view + transpose
-    # + copy construction bit for bit, for C-ordered and transposed inputs,
-    # and no argument or cache entry is written
+    # the im2col columns are one gather of a cached row index, done in the
+    # forward and again in the backward; y, dw, db and dx equal GEMMs over
+    # the index-padded sliding_window_view + transpose + copy columns (and
+    # the tap-by-tap scatter of dcols folded mod T) bit for bit, for
+    # C-ordered and transposed inputs.  The cache holds x itself, not the
+    # columns, and no argument or cache entry is written
     rng = np.random.default_rng(11)
     cases = itertools.product(((6, 5), (5, 12), (7, 1)), (1, 2, 3), (False, True))
     for (t, k), stride, transposed in cases:
@@ -137,25 +140,48 @@ def test_conv_columns_match_sliding_window_construction(dtype):
             x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
         w = rng.standard_normal((4, k, 3)).astype(dtype)
         b = rng.standard_normal(4).astype(dtype)
-        dy = rng.standard_normal((2, layers.conv_output_length(t, stride), 4)).astype(dtype)
+        t_out = layers.conv_output_length(t, stride)
+        dy = rng.standard_normal((2, t_out, 4)).astype(dtype)
         before = [a.copy() for a in (x, w, b, dy)]
         y, cache = layers.circular_conv_forward(x, w, b, stride)
-        left, right = layers.pad_lengths(k)
-        padded = x[:, np.arange(-left, t + right) % t]
+        assert cache[0] is x, (t, k, stride)
+        padded = circular_pad(x, k)
         win = sliding_window_view(padded, k, axis=1)[:, ::stride]
         cols = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(-1, k * 3)
-        want = (cols @ w.reshape(4, k * 3).T + b).reshape(y.shape)
-        assert cache[0].dtype == y.dtype == dtype
-        assert cache[0].tobytes() == cols.tobytes(), (t, k, stride)
-        assert y.tobytes() == want.tobytes(), (t, k, stride)
+        dy2 = dy.reshape(-1, 4)
+        dcols = (dy2 @ w.reshape(4, k * 3)).reshape(2, t_out, k, 3)
+        dpad = np.zeros(padded.shape, dtype)
+        for kk in range(k):
+            dpad[:, kk:kk + stride * t_out:stride] += dcols[:, :, kk]
+        left, right = layers.pad_lengths(k)
+        dx_want = np.zeros(x.shape, dtype)
+        np.add.at(dx_want, (slice(None), np.arange(-left, t + right) % t), dpad)
+        want = {"y": (cols @ w.reshape(4, k * 3).T + b).reshape(y.shape),
+                "dx": dx_want, "dw": (dy2.T @ cols).reshape(w.shape), "db": dy2.sum(axis=0)}
         full = layers.circular_conv_backward(dy, cache)
+        for name, got in zip(("y", "dx", "dw", "db"), (y,) + full):
+            assert got.dtype == dtype, name
+            assert got.tobytes() == want[name].tobytes(), (name, t, k, stride, transposed)
         # without the input gradient: the same dw and db, and dx is None
         skipped = layers.circular_conv_backward(dy, cache, need_dx=False)
-        assert skipped[0] is None and full[0].dtype == dtype
+        assert skipped[0] is None
         assert [g.tobytes() for g in skipped[1:]] == [g.tobytes() for g in full[1:]]
         for a, copy in zip((x, w, b, dy), before):
             assert a.tobytes() == copy.tobytes()
-        assert cache[0].tobytes() == cols.tobytes()
+        assert cache[0] is x and cache[1] is w
+
+
+def test_conv_row_memo_is_bounded():
+    # a sweep over many (T, K, S) triples, as test_04 runs, leaves the row
+    # memo at its cap, each entry read-only
+    layers._conv_rows.cache_clear()
+    b = np.zeros(1)
+    for t, k, s in itertools.product(range(1, 41), (1, 4, 9), (1, 2)):
+        layers.circular_conv_forward(np.ones((1, t, 1)), np.ones((1, k, 1)), b, s)
+    info = layers._conv_rows.cache_info()
+    assert info.currsize == info.maxsize == layers.ROWS_MEMO_SIZE
+    assert info.misses == 40 * 3 * 2
+    assert not layers._conv_rows(64, 7, 2).flags.writeable
 
 
 def test_conv_channel_mismatch():
@@ -205,7 +231,7 @@ def test_fft_conv_matches_direct_sum(t, k):
     b = rng.standard_normal(4)
     y, cache = fft_forward(x, w, b)
     assert isinstance(cache, layers._FFTCache)
-    padded = layers.circular_pad(x, k)
+    padded = circular_pad(x, k)
     ref = np.empty_like(y)
     for bi in range(2):
         for i in range(t):

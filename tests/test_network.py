@@ -336,6 +336,28 @@ def test_backward_frees_each_layer_cache_once_used(monkeypatch):
     assert seen == [True]
 
 
+@pytest.mark.parametrize("preset", sorted(PRESET_TRAINING))
+def test_im2col_conv_caches_hold_no_array_larger_than_their_input(preset):
+    # a train-mode im2col conv (attention's mix conv too) caches its input,
+    # not the K/S times larger columns, which its backward gathers again.
+    # At batch 4 every conv of every preset, K=15 and K=31 included, runs
+    # im2col; views of the parameters are not the cache's to hold
+    spec = preset_spec(preset)
+    params = init_parameters(spec, seed=0)
+    h, checked = preset_input(spec, 4), 0
+    for layer, group in zip(spec.layers, params.layers):
+        h_in = h
+        h, cache = layer.forward(group, h, np.random.default_rng(0), True)
+        if isinstance(layer, (Conv, Attention)):
+            conv_cache = cache[0] if isinstance(layer, Conv) else cache["conv"]
+            assert not isinstance(conv_cache, layers._FFTCache)
+            held = [a for a in conv_cache if isinstance(a, np.ndarray)
+                    and not np.shares_memory(a, params.vector)]
+            assert held and max(a.nbytes for a in held) <= h_in.nbytes, (preset, layer)
+            checked += 1
+    assert checked >= 2
+
+
 @pytest.mark.parametrize("case", ["reg", "class", "ap10"])
 def test_backward_into_a_reused_buffer_writes_every_entry(case):
     # network_backward does not zero its output: a buffer full of NaN,
